@@ -549,8 +549,9 @@ def _cmd_replan(args: argparse.Namespace) -> int:
 
     if isinstance(plan, GraphPartitionPlan):
         raise ReproError(
-            "repro replan is chain-only: online re-partitioning re-runs "
-            "the cut-point DP, which graph plans do not use"
+            "repro replan is chain-only: replan_survivors re-partitions "
+            "the layer ranges of a chain PartitionPlan, and graph plans "
+            "stage top-level DAG units instead"
         )
     started = time.perf_counter()
     survivor = replan_survivors(

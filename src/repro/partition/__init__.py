@@ -4,13 +4,15 @@ The layer between the single-device optimizer and the serving runtime:
 
 * :mod:`repro.partition.fleet` — the hardware model (devices + links);
 * :mod:`repro.partition.cut` — the cut-point DP minimizing the pipeline
-  bottleneck, built on the existing single-device DP and the shared
-  evaluation layer;
-* :mod:`repro.partition.graph_cut` — the same DP over the DAG IR,
-  cutting only on true DAG edges (parallel fork-join blocks stay whole
-  on one board);
+  bottleneck over abstract units, priced for a chain network's layers
+  by the existing single-device DP through the shared evaluation layer;
+* :mod:`repro.partition.graph_cut` — a :class:`CutOptimizer` subclass
+  that runs that same DP over a graph's top-level DAG units, pricing
+  each unit range with the branch-aware graph optimizer (parallel
+  fork-join blocks stay whole on one board);
 * :mod:`repro.partition.plan` — the :class:`PartitionPlan` artifact with
-  per-stage strategies, serialization, and simulate/serve hooks.
+  per-stage strategies, serialization, and simulate/serve hooks, plus
+  the pipeline metrics and report both plan kinds share.
 """
 
 from repro.partition.cut import CutOptimizer, partition_network

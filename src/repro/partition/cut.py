@@ -21,6 +21,10 @@ barely more than one single-device compile per distinct device model.
 Ties on the bottleneck break toward lower end-to-end latency, then
 toward fewer devices, so a 1-device fleet (or a fleet whose extra boards
 cannot help) degenerates to exactly the single-device strategy.
+
+The DP itself only sees ``num_units`` abstract units.  Here a unit is a
+layer; :class:`~repro.partition.graph_cut.GraphCutOptimizer` runs the
+same :meth:`CutOptimizer.solve` over a graph's top-level DAG units.
 """
 
 from __future__ import annotations
@@ -33,7 +37,12 @@ from repro.nn.network import Network
 from repro.optimizer.dp import FrontierOptimizer, _Plan
 from repro.optimizer.strategy import Strategy
 from repro.partition.fleet import DeviceFleet
-from repro.partition.plan import PartitionPlan, StagePlacement, StageTransfer
+from repro.partition.plan import (
+    PartitionPlan,
+    PipelinePlan,
+    StagePlacement,
+    StageTransfer,
+)
 from repro.perf.cost import CostModel, EvalContext
 
 _INF = float("inf")
@@ -53,6 +62,12 @@ class CutOptimizer:
             underlying single-device searches.
         context: Shared evaluation layer; one context serves every
             device in the fleet (device identity is part of its key).
+
+    A model kind plugs into :meth:`solve` by overriding the hooks that
+    take the model (``_bind``), count its units (``num_units``), price
+    a unit range (``_frontier``, ``_stage_budget``), size a cut
+    (``_cut_tensor_bytes``), name it in errors (``_describe``) and build
+    the plan (``_materialize``).
     """
 
     def __init__(
@@ -65,9 +80,7 @@ class CutOptimizer:
         context: Optional[CostModel] = None,
         workers: Optional[int] = None,
     ):
-        if len(network) == 0:
-            raise PartitionError("cannot partition an empty network")
-        self.network = network
+        self._bind(network)
         self.fleet = fleet
         self.transfer_constraint_bytes = transfer_constraint_bytes
         self.context: CostModel = context if context is not None else EvalContext()
@@ -76,10 +89,24 @@ class CutOptimizer:
             node_budget=node_budget,
             workers=workers,
         )
+        # Best feasible frontier plan of every (device, start, stop) unit
+        # range queried so far; None marks an infeasible range.
+        self._stage_cache: Dict[Tuple[FPGADevice, int, int], Optional[_Plan]] = {}
+
+    def _bind(self, network: Network) -> None:
+        if len(network) == 0:
+            raise PartitionError("cannot partition an empty network")
+        self.network = network
         # One frontier optimizer per *distinct* device model: a
         # homogeneous N-board fleet shares a single search.
         self._optimizers: Dict[FPGADevice, FrontierOptimizer] = {}
-        self._stage_cache: Dict[Tuple[FPGADevice, int, int], Optional[_Plan]] = {}
+
+    @property
+    def num_units(self) -> int:
+        return len(self.network)
+
+    def _describe(self) -> str:
+        return f"{self.network.name!r} ({self.num_units} layers)"
 
     @property
     def telemetry(self):
@@ -95,6 +122,10 @@ class CutOptimizer:
             self._optimizers[device] = optimizer
         return optimizer
 
+    def _frontier(self, device: FPGADevice, start: int, stop: int) -> List[_Plan]:
+        """Pareto frontier of single-device plans for units ``[start, stop)``."""
+        return self._optimizer_for(device).frontier(start, stop)
+
     def _stage_budget(self, device: FPGADevice, start: int, stop: int) -> int:
         """Feature-map transfer budget of one stage's board."""
         if self.transfer_constraint_bytes is not None:
@@ -108,7 +139,7 @@ class CutOptimizer:
     def stage_plan(
         self, device: FPGADevice, start: int, stop: int
     ) -> Optional[_Plan]:
-        """Best single-device plan for layers ``[start, stop)``.
+        """Best single-device plan for units ``[start, stop)``.
 
         None when the range is infeasible on the device (resources or
         the per-stage transfer budget).
@@ -116,7 +147,7 @@ class CutOptimizer:
         key = (device, start, stop)
         if key in self._stage_cache:
             return self._stage_cache[key]
-        frontier = self._optimizer_for(device).frontier(start, stop)
+        frontier = self._frontier(device, start, stop)
         budget = self._stage_budget(device, start, stop)
         feasible = [p for p in frontier if p.transfer_bytes <= budget]
         plan = (
@@ -133,22 +164,28 @@ class CutOptimizer:
             return _INF
         return device.cycles_to_seconds(plan.latency_cycles)
 
+    def _baseline_seconds(self) -> Optional[float]:
+        """Whole model on the fleet's first device; None if it does not fit."""
+        device = self.fleet.devices[0]
+        plan = self.stage_plan(device, 0, self.num_units)
+        return None if plan is None else self._stage_seconds(device, plan)
+
     def _cut_tensor_bytes(self, cut: int, sender: FPGADevice) -> int:
         """Bytes of the feature map crossing a cut after layer ``cut - 1``."""
         return self.network[cut - 1].output_size * sender.element_bytes
 
-    def solve(self) -> PartitionPlan:
+    def solve(self) -> PipelinePlan:
         """Run the cut DP and materialize the best plan.
 
         Raises:
             PartitionError: When no assignment fits the fleet at all.
         """
-        n = len(self.network)
+        n = self.num_units
         devices = self.fleet.devices
         num_devices = len(devices)
 
         # value[d][i]: lexicographic (bottleneck_s, total_latency_s) of
-        # the best pipeline running layers [0, i) on devices 0..d, with
+        # the best pipeline running units [0, i) on devices 0..d, with
         # device d's stage non-empty and ending at i.
         value: List[Dict[int, Tuple[float, float]]] = [
             {} for _ in range(num_devices)
@@ -206,8 +243,8 @@ class CutOptimizer:
                 chosen_d = d
         if chosen is None:
             raise PartitionError(
-                f"no feasible partition of {self.network.name!r} "
-                f"({n} layers) onto fleet {self.fleet.name}"
+                f"no feasible partition of {self._describe()} "
+                f"onto fleet {self.fleet.name}"
             )
 
         # Backtrack the cut points.
@@ -274,20 +311,13 @@ class CutOptimizer:
                         tensor_bytes=self._cut_tensor_bytes(stop, device),
                     )
                 )
-        baseline = self.stage_plan(self.fleet.devices[0], 0, n)
         return PartitionPlan(
             self.network,
             self.fleet,
             placements,
             transfers,
             telemetry=self.telemetry,
-            baseline_latency_seconds=(
-                None
-                if baseline is None
-                else self.fleet.devices[0].cycles_to_seconds(
-                    baseline.latency_cycles
-                )
-            ),
+            baseline_latency_seconds=self._baseline_seconds(),
         )
 
 

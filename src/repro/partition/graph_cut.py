@@ -9,18 +9,18 @@ sound cut points: cutting inside a parallel region would put the fork
 tensor on two boards at once and ship partial branch results over the
 link, so parallel blocks stay whole.
 
-With units in hand the search is the same bottleneck DP as the chain
-version — ``B[d][i] = min over cut k of max(B[d-1][k], link(k),
-stage(k, i, d))`` — except ``stage`` is a branch-aware
-:class:`~repro.optimizer.graph_dp.GraphOptimizer` frontier query on the
-unit range's subgraph, and the cut tensor is the output of the unit's
-last producer (a parallel unit's join).  On a chain graph every unit is
-a single node and the DP coincides with the chain partitioner's.
+With units in hand the search *is* the chain version's bottleneck DP —
+:class:`GraphCutOptimizer` inherits
+:meth:`~repro.partition.cut.CutOptimizer.solve` — except ``stage`` is a
+branch-aware :class:`~repro.optimizer.graph_dp.GraphOptimizer` frontier
+query on the unit range's subgraph, and the cut tensor is the output of
+the unit's last producer (a parallel unit's join).  On a chain graph
+every unit is a single node and the DP picks the chain partitioner's
+cuts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -29,11 +29,10 @@ from repro.hardware.device import FPGADevice
 from repro.nn.graph import Graph, SPLeaf, sp_leaf_names
 from repro.nn.layers import InputSpec
 from repro.optimizer.graph_dp import GraphOptimizer, GraphStrategy, _GPlan
+from repro.partition.cut import CutOptimizer
 from repro.partition.fleet import DeviceFleet
-from repro.partition.plan import StageTransfer
-from repro.perf.cost import CostModel, EvalContext, SearchTelemetry
-
-_INF = float("inf")
+from repro.partition.plan import PipelinePlan, StageTransfer
+from repro.perf.cost import CostModel, SearchTelemetry
 
 
 @dataclass(frozen=True)
@@ -75,18 +74,16 @@ class GraphStagePlacement:
     def latency_seconds(self) -> float:
         return self.strategy.latency_seconds()
 
-    @property
-    def num_units(self) -> int:
-        return self.stop - self.start
 
-
-class GraphPartitionPlan:
+class GraphPartitionPlan(PipelinePlan):
     """A mapping of one graph onto a device fleet, cut on DAG edges.
 
     The DAG sibling of :class:`~repro.partition.plan.PartitionPlan`:
     stages cover the graph's top-level units contiguously and pipeline
     through the recorded link transfers.
     """
+
+    _REPORT_COLUMNS = ("nodes", 28, 9, "stages")
 
     def __init__(
         self,
@@ -117,42 +114,6 @@ class GraphPartitionPlan:
         self.telemetry = telemetry
         self.baseline_latency_seconds = baseline_latency_seconds
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.placements)
-
-    @property
-    def stage_seconds(self) -> List[float]:
-        return [p.latency_seconds for p in self.placements]
-
-    @property
-    def transfer_seconds(self) -> List[float]:
-        return [t.seconds for t in self.transfers]
-
-    @property
-    def bottleneck_seconds(self) -> float:
-        return max(self.stage_seconds + self.transfer_seconds)
-
-    @property
-    def latency_seconds(self) -> float:
-        return sum(self.stage_seconds) + sum(self.transfer_seconds)
-
-    @property
-    def throughput_images_per_s(self) -> float:
-        return 1.0 / self.bottleneck_seconds
-
-    @property
-    def total_ops(self) -> int:
-        return sum(p.strategy.total_ops for p in self.placements)
-
-    def effective_gops(self) -> float:
-        return self.total_ops / self.bottleneck_seconds / 1e9
-
-    def pipelined_speedup(self) -> Optional[float]:
-        if self.baseline_latency_seconds is None:
-            return None
-        return self.baseline_latency_seconds / self.bottleneck_seconds
-
     def to_dict(self) -> dict:
         """JSON-friendly view of the plan (CLI ``repro partition --json``)."""
         return {
@@ -181,50 +142,15 @@ class GraphPartitionPlan:
             ],
         }
 
-    def report(self) -> str:
-        lines = [
-            f"Graph partition of {self.graph.name} across {self.fleet.name}: "
-            f"{self.num_stages} stage(s), "
-            f"bottleneck {self.bottleneck_seconds * 1e3:.2f} ms "
-            f"({self.throughput_images_per_s:.1f} img/s pipelined), "
-            f"end-to-end latency {self.latency_seconds * 1e3:.2f} ms, "
-            f"{self.effective_gops():.1f} effective GOPS"
-        ]
-        header = (
-            f"{'stage':>5} {'device':<10} {'nodes':<28} {'stages':>6} "
-            f"{'latency ms':>11} {'share':>6}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        bottleneck = self.bottleneck_seconds
-        for p in self.placements:
-            span = (
-                p.nodes[0]
-                if len(p.nodes) == 1
-                else f"{p.nodes[0]}..{p.nodes[-1]}"
-            )
-            lines.append(
-                f"{p.stage_id:>5} {p.device.name:<10} {span:<28} "
-                f"{len(p.strategy.segments):>6} "
-                f"{p.latency_seconds * 1e3:>11.2f} "
-                f"{p.latency_seconds / bottleneck * 100:>5.0f}%"
-            )
-            if p.stage_id < len(self.transfers):
-                t = self.transfers[p.stage_id]
-                lines.append(
-                    f"{'':>5} {'-> link':<10} "
-                    f"{t.tensor_bytes / 1024:.0f} KB cut tensor"
-                    f"{'':<9} {'':>6} {t.seconds * 1e3:>11.3f} "
-                    f"{t.seconds / bottleneck * 100:>5.0f}%"
-                )
-        speedup = self.pipelined_speedup()
-        if speedup is not None and self.num_stages > 1:
-            lines.append(
-                f"single-device baseline on {self.fleet.devices[0].name}: "
-                f"{self.baseline_latency_seconds * 1e3:.2f} ms/img "
-                f"-> pipelined speedup {speedup:.2f}x"
-            )
-        return "\n".join(lines)
+    def _title(self) -> str:
+        return f"Graph partition of {self.graph.name}"
+
+    def _stage_columns(
+        self, placement: GraphStagePlacement
+    ) -> Tuple[str, int]:
+        nodes = placement.nodes
+        span = nodes[0] if len(nodes) == 1 else f"{nodes[0]}..{nodes[-1]}"
+        return span, len(placement.strategy.segments)
 
     def __repr__(self) -> str:
         return (
@@ -234,45 +160,33 @@ class GraphPartitionPlan:
         )
 
 
-class GraphCutOptimizer:
+class GraphCutOptimizer(CutOptimizer):
     """Partition search over one graph and one device fleet.
 
-    Same knobs as :class:`~repro.partition.cut.CutOptimizer`; cut
-    candidates are the graph's top-level DAG edges (unit boundaries).
+    Same knobs and the same DP as
+    :class:`~repro.partition.cut.CutOptimizer`; the units are the
+    graph's top-level SP blocks, so cut candidates are DAG edges.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        fleet: DeviceFleet,
-        transfer_constraint_bytes: Optional[int] = None,
-        explore_tile_sizes: bool = False,
-        node_budget: int = 250_000,
-        context: Optional[CostModel] = None,
-        workers: Optional[int] = None,
-    ):
+    def __init__(self, graph: Graph, fleet: DeviceFleet, **search):
+        # Restates only the model parameter's name (``graph=``).
+        super().__init__(graph, fleet, **search)
+
+    def _bind(self, graph: Graph) -> None:
         if len(graph) == 0:
             raise PartitionError("cannot partition an empty graph")
         self.graph = graph
-        self.fleet = fleet
-        self.transfer_constraint_bytes = transfer_constraint_bytes
-        self.context: CostModel = context if context is not None else EvalContext()
-        self._optimizer_kwargs = dict(
-            explore_tile_sizes=explore_tile_sizes,
-            node_budget=node_budget,
-            workers=workers,
-        )
         self.units = graph_units(graph)
         self._subgraphs: Dict[Tuple[int, int], Graph] = {}
+        # One branch-aware optimizer per priced (device, start, stop).
         self._optimizers: Dict[Tuple[FPGADevice, int, int], GraphOptimizer] = {}
-        self._stage_cache: Dict[
-            Tuple[FPGADevice, int, int],
-            Optional[Tuple[_GPlan, GraphOptimizer]],
-        ] = {}
 
     @property
-    def telemetry(self):
-        return self.context.stats
+    def num_units(self) -> int:
+        return len(self.units)
+
+    def _describe(self) -> str:
+        return f"graph {self.graph.name!r} ({self.num_units} units)"
 
     def _stage_subgraph(self, start: int, stop: int) -> Graph:
         key = (start, stop)
@@ -300,48 +214,21 @@ class GraphCutOptimizer:
         self._subgraphs[key] = sub
         return sub
 
+    def _frontier(self, device: FPGADevice, start: int, stop: int) -> List[_GPlan]:
+        optimizer = GraphOptimizer(
+            self._stage_subgraph(start, stop),
+            device,
+            context=self.context,
+            **self._optimizer_kwargs,
+        )
+        self._optimizers[(device, start, stop)] = optimizer
+        return optimizer.frontier()
+
     def _stage_budget(self, device: FPGADevice, start: int, stop: int) -> int:
         if self.transfer_constraint_bytes is not None:
             return self.transfer_constraint_bytes
         sub = self._stage_subgraph(start, stop)
         return sub.feature_map_bytes(element_bytes=device.element_bytes)
-
-    def stage_plan(
-        self, device: FPGADevice, start: int, stop: int
-    ) -> Optional[Tuple[_GPlan, GraphOptimizer]]:
-        """Best single-device plan for units ``[start, stop)``; None if
-        the range is infeasible on the device."""
-        key = (device, start, stop)
-        if key in self._stage_cache:
-            return self._stage_cache[key]
-        optimizer = self._optimizers.get(key)
-        if optimizer is None:
-            optimizer = GraphOptimizer(
-                self._stage_subgraph(start, stop),
-                device,
-                context=self.context,
-                **self._optimizer_kwargs,
-            )
-            self._optimizers[key] = optimizer
-        budget = self._stage_budget(device, start, stop)
-        feasible = [
-            p for p in optimizer.frontier() if p.transfer_bytes <= budget
-        ]
-        result = (
-            (min(feasible, key=lambda p: p.latency_cycles), optimizer)
-            if feasible
-            else None
-        )
-        self._stage_cache[key] = result
-        self.context.stats.partition_stage_queries += 1
-        return result
-
-    def _stage_seconds(
-        self, device: FPGADevice, entry: Optional[Tuple[_GPlan, GraphOptimizer]]
-    ) -> float:
-        if entry is None:
-            return _INF
-        return device.cycles_to_seconds(entry[0].latency_cycles)
 
     def _cut_tensor_bytes(self, cut: int, sender: FPGADevice) -> int:
         """Bytes of the tensor crossing the DAG edge after unit cut-1."""
@@ -349,93 +236,20 @@ class GraphCutOptimizer:
         c, h, w = self.graph.node(tail).output_shape
         return c * h * w * sender.element_bytes
 
-    def solve(self) -> GraphPartitionPlan:
-        """Run the cut DP and materialize the best plan."""
-        n = len(self.units)
-        devices = self.fleet.devices
-        num_devices = len(devices)
-
-        value: List[Dict[int, Tuple[float, float]]] = [
-            {} for _ in range(num_devices)
-        ]
-        back: List[Dict[int, int]] = [{} for _ in range(num_devices)]
-
-        for i in range(1, n + 1):
-            entry = self.stage_plan(devices[0], 0, i)
-            seconds = self._stage_seconds(devices[0], entry)
-            if seconds < _INF:
-                value[0][i] = (seconds, seconds)
-
-        for d in range(1, num_devices):
-            device = devices[d]
-            link = self.fleet.links[d - 1]
-            sender = devices[d - 1]
-            for i in range(d + 1, n + 1):
-                best: Optional[Tuple[float, float]] = None
-                best_cut = -1
-                for cut in range(d, i):
-                    upstream = value[d - 1].get(cut)
-                    if upstream is None:
-                        continue
-                    transfer = link.transfer_seconds(
-                        self._cut_tensor_bytes(cut, sender)
-                    )
-                    stage = self._stage_seconds(
-                        device, self.stage_plan(device, cut, i)
-                    )
-                    if stage == _INF:
-                        continue
-                    self.context.stats.partition_cuts_considered += 1
-                    candidate = (
-                        max(upstream[0], transfer, stage),
-                        upstream[1] + transfer + stage,
-                    )
-                    if best is None or candidate < best:
-                        best = candidate
-                        best_cut = cut
-                if best is not None:
-                    value[d][i] = best
-                    back[d][i] = best_cut
-
-        chosen_d = -1
-        chosen: Optional[Tuple[float, float]] = None
-        for d in range(num_devices):
-            candidate = value[d].get(n)
-            if candidate is None:
-                continue
-            if chosen is None or candidate < chosen:
-                chosen = candidate
-                chosen_d = d
-        if chosen is None:
-            raise PartitionError(
-                f"no feasible partition of graph {self.graph.name!r} "
-                f"({n} units) onto fleet {self.fleet.name}"
-            )
-
-        cuts: List[int] = []
-        i = n
-        for d in range(chosen_d, 0, -1):
-            cut = back[d][i]
-            cuts.append(cut)
-            i = cut
-        cuts.reverse()
-        boundaries = [0] + cuts + [n]
-        return self._materialize(boundaries)
-
     def _materialize(self, boundaries: List[int]) -> GraphPartitionPlan:
         placements: List[GraphStagePlacement] = []
         transfers: List[StageTransfer] = []
-        n = len(self.units)
+        n = self.num_units
         for stage_id in range(len(boundaries) - 1):
             start, stop = boundaries[stage_id], boundaries[stage_id + 1]
             device = self.fleet.devices[stage_id]
-            entry = self.stage_plan(device, start, stop)
-            if entry is None:
+            plan = self.stage_plan(device, start, stop)
+            if plan is None:
                 raise PartitionError(
                     f"stage units [{start}:{stop}] became infeasible "
                     f"on materialize"
                 )
-            plan, optimizer = entry
+            optimizer = self._optimizers[(device, start, stop)]
             strategy = optimizer.materialize(plan)
             strategy.validate(self._stage_budget(device, start, stop))
             nodes = tuple(
@@ -461,20 +275,13 @@ class GraphCutOptimizer:
                         tensor_bytes=self._cut_tensor_bytes(stop, device),
                     )
                 )
-        baseline = self.stage_plan(self.fleet.devices[0], 0, n)
         return GraphPartitionPlan(
             self.graph,
             self.fleet,
             placements,
             transfers,
             telemetry=self.telemetry,
-            baseline_latency_seconds=(
-                None
-                if baseline is None
-                else self.fleet.devices[0].cycles_to_seconds(
-                    baseline[0].latency_cycles
-                )
-            ),
+            baseline_latency_seconds=self._baseline_seconds(),
         )
 
 

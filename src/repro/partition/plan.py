@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,57 +82,26 @@ class StageTransfer:
         return self.link.transfer_seconds(self.tensor_bytes)
 
 
-class PartitionPlan:
-    """A complete mapping of one network onto a device fleet.
+class PipelinePlan:
+    """Pipeline-level metrics and report shared by chain and graph plans.
 
-    Stages cover the network contiguously and run as a pipeline: stage
-    ``s`` feeds stage ``s + 1`` through ``transfers[s]``.  A plan over a
-    single device has no transfers and is exactly the single-device
-    strategy.
+    A subclass holds ``fleet``, ``placements`` (each with a ``strategy``
+    and ``latency_seconds``), ``transfers`` and
+    ``baseline_latency_seconds``.  It names the model in the report's
+    title (:meth:`_title`) and fills the per-stage span and count
+    columns (:attr:`_REPORT_COLUMNS`, :meth:`_stage_columns`).
     """
 
-    def __init__(
-        self,
-        network: Network,
-        fleet: DeviceFleet,
-        placements: Sequence[StagePlacement],
-        transfers: Sequence[StageTransfer],
-        telemetry: Optional[SearchTelemetry] = None,
-        baseline_latency_seconds: Optional[float] = None,
-    ):
-        if not placements:
-            raise PartitionError("a partition plan needs at least one stage")
-        if len(transfers) != len(placements) - 1:
-            raise PartitionError(
-                f"{len(placements)} stages need {len(placements) - 1} "
-                f"transfers, got {len(transfers)}"
-            )
-        expected = 0
-        for placement in placements:
-            if placement.start != expected:
-                raise PartitionError(
-                    f"stages must tile the network contiguously; stage "
-                    f"{placement.stage_id} starts at {placement.start}, "
-                    f"expected {expected}"
-                )
-            expected = placement.stop
-        if expected != len(network):
-            raise PartitionError(
-                f"stages cover {expected} layers, network has {len(network)}"
-            )
-        self.network = network
-        self.fleet = fleet
-        self.placements = list(placements)
-        self.transfers = list(transfers)
-        #: Telemetry of the search that produced this plan (None for
-        #: hand-assembled or deserialized plans).
-        self.telemetry = telemetry
-        #: Latency of the best *single-device* strategy on the fleet's
-        #: first device, for speedup reporting (None when infeasible
-        #: there, e.g. the model only fits when split).
-        self.baseline_latency_seconds = baseline_latency_seconds
+    #: Span column header and width, the pad after a link row's
+    #: cut-tensor text, and the per-stage count column header.
+    _REPORT_COLUMNS: Tuple[str, int, int, str]
 
-    # -- aggregate metrics ---------------------------------------------------
+    def _title(self) -> str:
+        raise NotImplementedError
+
+    def _stage_columns(self, placement) -> Tuple[str, int]:
+        """A stage's span label and its count column value."""
+        raise NotImplementedError
 
     @property
     def num_stages(self) -> int:
@@ -174,6 +143,102 @@ class PartitionPlan:
         if self.baseline_latency_seconds is None:
             return None
         return self.baseline_latency_seconds / self.bottleneck_seconds
+
+    def report(self) -> str:
+        """Per-stage table plus the pipeline-level numbers."""
+        lines = [
+            f"{self._title()} across {self.fleet.name}: "
+            f"{self.num_stages} stage(s), "
+            f"bottleneck {self.bottleneck_seconds * 1e3:.2f} ms "
+            f"({self.throughput_images_per_s:.1f} img/s pipelined), "
+            f"end-to-end latency {self.latency_seconds * 1e3:.2f} ms, "
+            f"{self.effective_gops():.1f} effective GOPS"
+        ]
+        span_header, span_width, link_pad, count_header = self._REPORT_COLUMNS
+        header = (
+            f"{'stage':>5} {'device':<10} {span_header:<{span_width}} "
+            f"{count_header:>6} {'latency ms':>11} {'share':>6}"
+        )
+        lines.append(header)
+        lines.append("-" * len(header))
+        bottleneck = self.bottleneck_seconds
+        for p in self.placements:
+            span, count = self._stage_columns(p)
+            lines.append(
+                f"{p.stage_id:>5} {p.device.name:<10} {span:<{span_width}} "
+                f"{count:>6} "
+                f"{p.latency_seconds * 1e3:>11.2f} "
+                f"{p.latency_seconds / bottleneck * 100:>5.0f}%"
+            )
+            if p.stage_id < len(self.transfers):
+                t = self.transfers[p.stage_id]
+                lines.append(
+                    f"{'':>5} {'-> link':<10} "
+                    f"{t.tensor_bytes / 1024:.0f} KB cut tensor"
+                    f"{'':<{link_pad}} {'':>6} {t.seconds * 1e3:>11.3f} "
+                    f"{t.seconds / bottleneck * 100:>5.0f}%"
+                )
+        speedup = self.pipelined_speedup()
+        if speedup is not None and self.num_stages > 1:
+            lines.append(
+                f"single-device baseline on {self.fleet.devices[0].name}: "
+                f"{self.baseline_latency_seconds * 1e3:.2f} ms/img "
+                f"-> pipelined speedup {speedup:.2f}x"
+            )
+        return "\n".join(lines)
+
+
+class PartitionPlan(PipelinePlan):
+    """A complete mapping of one network onto a device fleet.
+
+    Stages cover the network contiguously and run as a pipeline: stage
+    ``s`` feeds stage ``s + 1`` through ``transfers[s]``.  A plan over a
+    single device has no transfers and is exactly the single-device
+    strategy.
+    """
+
+    _REPORT_COLUMNS = ("layers", 18, 4, "groups")
+
+    def __init__(
+        self,
+        network: Network,
+        fleet: DeviceFleet,
+        placements: Sequence[StagePlacement],
+        transfers: Sequence[StageTransfer],
+        telemetry: Optional[SearchTelemetry] = None,
+        baseline_latency_seconds: Optional[float] = None,
+    ):
+        if not placements:
+            raise PartitionError("a partition plan needs at least one stage")
+        if len(transfers) != len(placements) - 1:
+            raise PartitionError(
+                f"{len(placements)} stages need {len(placements) - 1} "
+                f"transfers, got {len(transfers)}"
+            )
+        expected = 0
+        for placement in placements:
+            if placement.start != expected:
+                raise PartitionError(
+                    f"stages must tile the network contiguously; stage "
+                    f"{placement.stage_id} starts at {placement.start}, "
+                    f"expected {expected}"
+                )
+            expected = placement.stop
+        if expected != len(network):
+            raise PartitionError(
+                f"stages cover {expected} layers, network has {len(network)}"
+            )
+        self.network = network
+        self.fleet = fleet
+        self.placements = list(placements)
+        self.transfers = list(transfers)
+        #: Telemetry of the search that produced this plan (None for
+        #: hand-assembled or deserialized plans).
+        self.telemetry = telemetry
+        #: Latency of the best *single-device* strategy on the fleet's
+        #: first device, for speedup reporting (None when infeasible
+        #: there, e.g. the model only fits when split).
+        self.baseline_latency_seconds = baseline_latency_seconds
 
     # -- hooks into the rest of the stack ------------------------------------
 
@@ -312,49 +377,14 @@ class PartitionPlan:
             path, PLAN_ARTIFACT_KIND, self.to_dict(), digests=self.digests()
         )
 
-    def report(self) -> str:
-        """Per-stage table plus the pipeline-level numbers."""
-        lines = [
-            f"Partition of {self.network.name} across {self.fleet.name}: "
-            f"{self.num_stages} stage(s), "
-            f"bottleneck {self.bottleneck_seconds * 1e3:.2f} ms "
-            f"({self.throughput_images_per_s:.1f} img/s pipelined), "
-            f"end-to-end latency {self.latency_seconds * 1e3:.2f} ms, "
-            f"{self.effective_gops():.1f} effective GOPS"
-        ]
-        header = (
-            f"{'stage':>5} {'device':<10} {'layers':<18} {'groups':>6} "
-            f"{'latency ms':>11} {'share':>6}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        bottleneck = self.bottleneck_seconds
-        for p in self.placements:
-            first = self.network[p.start].name
-            last = self.network[p.stop - 1].name
-            span = first if p.num_layers == 1 else f"{first}..{last}"
-            lines.append(
-                f"{p.stage_id:>5} {p.device.name:<10} {span:<18} "
-                f"{len(p.strategy.designs):>6} "
-                f"{p.latency_seconds * 1e3:>11.2f} "
-                f"{p.latency_seconds / bottleneck * 100:>5.0f}%"
-            )
-            if p.stage_id < len(self.transfers):
-                t = self.transfers[p.stage_id]
-                lines.append(
-                    f"{'':>5} {'-> link':<10} "
-                    f"{t.tensor_bytes / 1024:.0f} KB cut tensor"
-                    f"{'':<4} {'':>6} {t.seconds * 1e3:>11.3f} "
-                    f"{t.seconds / bottleneck * 100:>5.0f}%"
-                )
-        speedup = self.pipelined_speedup()
-        if speedup is not None and self.num_stages > 1:
-            lines.append(
-                f"single-device baseline on {self.fleet.devices[0].name}: "
-                f"{self.baseline_latency_seconds * 1e3:.2f} ms/img "
-                f"-> pipelined speedup {speedup:.2f}x"
-            )
-        return "\n".join(lines)
+    def _title(self) -> str:
+        return f"Partition of {self.network.name}"
+
+    def _stage_columns(self, placement: StagePlacement) -> Tuple[str, int]:
+        first = self.network[placement.start].name
+        last = self.network[placement.stop - 1].name
+        span = first if placement.num_layers == 1 else f"{first}..{last}"
+        return span, len(placement.strategy.designs)
 
     def __repr__(self) -> str:
         return (

@@ -72,18 +72,6 @@ class AcceleratorReplica:
         """Build a replica programmed with ``strategy``."""
         return cls(replica_id, build_service_model(strategy))
 
-    @classmethod
-    def for_graph_strategy(cls, replica_id: int, strategy) -> "AcceleratorReplica":
-        """Build a replica programmed with a branch-aware graph strategy.
-
-        The graph's per-segment service model flattens into the same
-        :class:`~repro.sim.simulator.ServiceModel` shape, so everything
-        downstream of construction is identical to the chain path.
-        """
-        from repro.sim.graph import build_graph_service_model
-
-        return cls(replica_id, build_graph_service_model(strategy))
-
     def batch_cycles(self, batch_size: int) -> float:
         """Service time of one batch on this replica."""
         return self.service_model.batch_cycles(batch_size)

@@ -431,7 +431,7 @@ def partition_model(
     context: Optional[CostModel] = None,
     verify: bool = True,
     store=None,
-) -> PartitionPlan:
+) -> Union[PartitionPlan, GraphPartitionPlan]:
     """Split a model across a fleet of FPGAs for pipelined execution.
 
     The multi-device sibling of :func:`compile_model`: the same model
@@ -453,8 +453,9 @@ def partition_model(
             budget (each board gets the paper's T separately).
         accelerated_only / explore_tile_sizes / node_budget / workers /
             context / verify / store: As in :func:`compile_model`
-            (``verify`` runs :func:`repro.check.verify_plan` on the
-            finished plan).
+            (``verify`` runs :func:`repro.check.verify_plan` on a
+            chain plan and ``verify_graph_strategy`` on every stage of
+            a graph plan).
 
     Returns:
         A :class:`~repro.partition.plan.PartitionPlan` with one
@@ -468,32 +469,23 @@ def partition_model(
     a :class:`~repro.partition.graph_cut.GraphPartitionPlan`.
     """
     resolved = _resolve_model(model)
-    if isinstance(resolved, Graph):
-        return _partition_graph_model(
-            resolved,
-            devices,
-            link=link,
-            transfer_constraint_bytes=transfer_constraint_bytes,
-            accelerated_only=accelerated_only,
-            explore_tile_sizes=explore_tile_sizes,
-            node_budget=node_budget,
-            workers=workers,
-            context=context,
-            verify=verify,
-            store=store,
+    is_graph = isinstance(resolved, Graph)
+    if accelerated_only:
+        resolved = (
+            resolved.accelerated_subgraph()
+            if is_graph
+            else resolved.accelerated_prefix()
         )
-    network = resolved
-    if accelerated_only:
-        network = network.accelerated_prefix()
-    if len(network) == 0:
+    if len(resolved) == 0:
         raise OptimizationError("no accelerator-eligible layers in the model")
     if isinstance(devices, DeviceFleet):
         fleet = devices
     else:
         fleet = DeviceFleet.from_spec(devices, link=link)
     context = _store_context(context, store)
-    plan = partition_network(
-        network,
+    partition = partition_graph if is_graph else partition_network
+    plan = partition(
+        resolved,
         fleet,
         transfer_constraint_bytes=transfer_constraint_bytes,
         explore_tile_sizes=explore_tile_sizes,
@@ -503,50 +495,13 @@ def partition_model(
     )
     _flush_context(context)
     if verify:
-        from repro.check.invariants import verify_plan
+        from repro.check.invariants import verify_graph_strategy, verify_plan
 
-        verify_plan(plan).raise_if_failed()
-    return plan
-
-
-def _partition_graph_model(
-    graph: Graph,
-    devices: Union[str, Sequence, DeviceFleet],
-    link: Optional[Link] = None,
-    transfer_constraint_bytes: Optional[int] = None,
-    accelerated_only: bool = True,
-    explore_tile_sizes: bool = False,
-    node_budget: int = 250_000,
-    workers: Optional[int] = None,
-    context: Optional[CostModel] = None,
-    verify: bool = True,
-    store=None,
-) -> GraphPartitionPlan:
-    """The DAG leg of :func:`partition_model`."""
-    if accelerated_only:
-        graph = graph.accelerated_subgraph()
-    if len(graph) == 0:
-        raise OptimizationError("no accelerator-eligible layers in the model")
-    if isinstance(devices, DeviceFleet):
-        fleet = devices
-    else:
-        fleet = DeviceFleet.from_spec(devices, link=link)
-    context = _store_context(context, store)
-    plan = partition_graph(
-        graph,
-        fleet,
-        transfer_constraint_bytes=transfer_constraint_bytes,
-        explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget,
-        context=context,
-        workers=workers,
-    )
-    _flush_context(context)
-    if verify:
-        from repro.check.invariants import verify_graph_strategy
-
-        for placement in plan.placements:
-            verify_graph_strategy(placement.strategy).raise_if_failed()
+        if is_graph:
+            for placement in plan.placements:
+                verify_graph_strategy(placement.strategy).raise_if_failed()
+        else:
+            verify_plan(plan).raise_if_failed()
     return plan
 
 

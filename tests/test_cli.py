@@ -264,6 +264,45 @@ class TestPartition:
         assert code == 0
         assert "1 stage(s)" in capsys.readouterr().out
 
+    def test_partition_branching_model(self, capsys):
+        code = main(
+            ["partition", "tiny_branch", "--devices", "testchip,testchip"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Graph partition of tiny_branch" in out
+        assert "conv1..join" in out
+
+    def test_partition_branching_model_rejects_simulate(self, capsys):
+        code = main(
+            [
+                "partition",
+                "tiny_branch",
+                "--devices",
+                "testchip,testchip",
+                "--simulate",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "chain-only" in err
+
+    def test_replan_branching_model_names_the_real_limit(self, capsys):
+        code = main(
+            [
+                "replan",
+                "tiny_branch",
+                "--devices",
+                "testchip,testchip",
+                "--dead-stage",
+                "0",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "replan_survivors re-partitions the layer ranges" in err
+
     def test_partition_unknown_device_is_clean_error(self, capsys):
         assert main(["partition", "tiny_cnn", "--devices", "nope,nope"]) == 1
         assert capsys.readouterr().err.startswith("error:")

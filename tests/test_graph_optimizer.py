@@ -22,13 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.invariants import verify_graph_strategy
+from repro.errors import PartitionError
 from repro.nn import models
 from repro.nn.functional import forward_graph, init_graph_weights
 from repro.nn.graph import Graph, GraphNode, sp_leaf_names
 from repro.nn.layers import ConcatLayer, ConvLayer, EltwiseLayer, InputSpec
 from repro.optimizer.dp import optimize
 from repro.optimizer.graph_dp import optimize_graph
-from repro.partition.fleet import DeviceFleet
+from repro.partition.cut import partition_network
+from repro.partition.fleet import DeviceFleet, Link
 from repro.partition.graph_cut import partition_graph
 from repro.perf.cost import EvalContext, layer_signature
 from repro.sim.graph import build_graph_service_model, simulate_graph_strategy
@@ -172,6 +174,101 @@ class TestDownstreamAgreement:
             Graph.from_network(tiny_net), testchip, budget, context=context
         )
         assert context.stats.evaluations == evaluations
+
+
+class TestGraphPartition:
+    """The DAG leg of the shared cut-point DP."""
+
+    @pytest.mark.parametrize(
+        "devices, link",
+        [
+            ("testchip,testchip", None),
+            ("testchip,zc706", None),
+            ("zc706,zc706", None),
+            ("testchip,testchip", Link(bandwidth_bytes_per_s=1e3)),
+        ],
+    )
+    def test_chain_graph_matches_chain_partitioner(self, devices, link):
+        """On a chain every unit is one layer: same cuts, same counters."""
+        net = models.tiny_cnn().accelerated_prefix()
+        fleet = DeviceFleet.from_spec(devices, link=link)
+        chain_context, graph_context = EvalContext(), EvalContext()
+        chain = partition_network(net, fleet, context=chain_context)
+        graph = partition_graph(
+            Graph.from_network(net), fleet, context=graph_context
+        )
+        assert [(p.start, p.stop) for p in graph.placements] == [
+            (p.start, p.stop) for p in chain.placements
+        ]
+        assert graph.bottleneck_seconds == chain.bottleneck_seconds
+        assert graph.latency_seconds == chain.latency_seconds
+        for counter in ("partition_stage_queries", "partition_cuts_considered"):
+            assert getattr(graph_context.stats, counter) == getattr(
+                chain_context.stats, counter
+            )
+
+    def test_golden_report_and_dict(self):
+        """Pinned output of tiny_branch on two testchips."""
+        plan = partition_graph(
+            models.tiny_branch(), DeviceFleet.from_spec("testchip,testchip")
+        )
+        assert plan.report() == (
+            "Graph partition of tiny_branch across testchip+testchip: "
+            "2 stage(s), bottleneck 0.07 ms (13354.7 img/s pipelined), "
+            "end-to-end latency 0.12 ms, 21.6 effective GOPS\n"
+            "stage device     nodes                        stages  "
+            "latency ms  share\n"
+            "-----------------------------------------------------------"
+            "------------\n"
+            "    0 testchip   conv1..join                       2        "
+            "0.04    60%\n"
+            "      -> link    8 KB cut tensor                       0.004"
+            "     5%\n"
+            "    1 testchip   conv2                             1        "
+            "0.07   100%\n"
+            "single-device baseline on testchip: 0.12 ms/img -> "
+            "pipelined speedup 1.60x"
+        )
+        assert plan.to_dict() == {
+            "kind": "graph_partition_plan",
+            "graph": "tiny_branch",
+            "fleet": "testchip+testchip",
+            "num_stages": 2,
+            "bottleneck_seconds": 7.488e-05,
+            "latency_seconds": 0.000123736,
+            "throughput_images_per_s": 13354.700854700854,
+            "effective_gops": 21.60683760683761,
+            "pipelined_speedup": 1.5977564102564101,
+            "stages": [
+                {
+                    "stage_id": 0,
+                    "device": "testchip",
+                    "nodes": ["conv1", "b1", "b3", "join"],
+                    "segments": ["chain", "parallel"],
+                    "latency_seconds": 4.476e-05,
+                },
+                {
+                    "stage_id": 1,
+                    "device": "testchip",
+                    "nodes": ["conv2"],
+                    "segments": ["chain"],
+                    "latency_seconds": 7.488e-05,
+                },
+            ],
+            "transfers": [{"tensor_bytes": 8192, "seconds": 4.096e-06}],
+        }
+
+    def test_infeasible_budget_names_graph_and_units(self):
+        with pytest.raises(
+            PartitionError,
+            match=r"no feasible partition of graph 'tiny_branch' \(3 units\) "
+            r"onto fleet testchip\+testchip",
+        ):
+            partition_graph(
+                models.tiny_branch(),
+                DeviceFleet.from_spec("testchip,testchip"),
+                transfer_constraint_bytes=1,
+            )
 
 
 # -- Hypothesis: random series-parallel graphs -------------------------------
