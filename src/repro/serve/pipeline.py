@@ -253,12 +253,6 @@ class PipelineReplica:
         self.requests += size
         return BatchAttempt(head_start, end, ok=True)
 
-    def health(self, cycle: float, injector=None) -> str:
-        """``up`` / ``draining`` / ``down`` at virtual time ``cycle``."""
-        if injector is None:
-            return "up"
-        return injector.health(self.replica_id, cycle, self.busy_until)
-
     def stage_stats(self) -> List[ReplicaStats]:
         """One stats row per stage (utilization per fleet device).
 

@@ -87,16 +87,8 @@ class AcceleratorReplica:
         Returns:
             ``(start_cycle, completion_cycle)`` of the batch.
         """
-        if not batch:
-            raise ServingError("cannot execute an empty batch")
-        start = max(dispatch_cycle, self.busy_until)
-        service = self.batch_cycles(len(batch))
-        end = start + service
-        self.busy_until = end
-        self.busy_cycles += service
-        self.batches += 1
-        self.requests += len(batch)
-        return start, end
+        attempt = self.execute_attempt(batch, dispatch_cycle)
+        return attempt.start_cycle, attempt.end_cycle
 
     def execute_attempt(
         self,
@@ -115,38 +107,19 @@ class AcceleratorReplica:
         tracked in ``wasted_cycles`` / ``failed_batches``, never in the
         success counters.
         """
-        if injector is None:
-            start, end = self.execute(batch, dispatch_cycle)
-            return BatchAttempt(start_cycle=start, end_cycle=end, ok=True)
         if not batch:
             raise ServingError("cannot execute an empty batch")
-        start = max(dispatch_cycle, self.busy_until)
-        start = injector.available_from(self.replica_id, start)
-        service = self.batch_cycles(len(batch)) * injector.service_scale(
-            self.replica_id, start
+        attempt, cycles, _ = _occupy(
+            self, self.batch_cycles(len(batch)), dispatch_cycle, injector
         )
-        end = start + service
-        crash = injector.crash_in(self.replica_id, start, end)
-        if crash is not None:
-            self.busy_until = crash
-            self.wasted_cycles += crash - start
+        if attempt.ok:
+            self.busy_cycles += cycles
+            self.batches += 1
+            self.requests += len(batch)
+        else:
+            self.wasted_cycles += cycles
             self.failed_batches += 1
-            return BatchAttempt(start, crash, ok=False, failure="crash")
-        self.busy_until = end
-        if injector.transient_failure(self.replica_id):
-            self.wasted_cycles += service
-            self.failed_batches += 1
-            return BatchAttempt(start, end, ok=False, failure="transient")
-        self.busy_cycles += service
-        self.batches += 1
-        self.requests += len(batch)
-        return BatchAttempt(start, end, ok=True)
-
-    def health(self, cycle: float, injector=None) -> str:
-        """``up`` / ``draining`` / ``down`` at virtual time ``cycle``."""
-        if injector is None:
-            return "up"
-        return injector.health(self.replica_id, cycle, self.busy_until)
+        return attempt
 
     def stats(self) -> ReplicaStats:
         return ReplicaStats(
@@ -163,6 +136,40 @@ class AcceleratorReplica:
             f"AcceleratorReplica(id={self.replica_id}, "
             f"busy_until={self.busy_until:.0f}, requests={self.requests})"
         )
+
+
+def _occupy(
+    replica, service_cycles: float, dispatch_cycle: float, injector
+) -> Tuple[BatchAttempt, float, float]:
+    """Occupy ``replica`` with one batch's ``service_cycles`` of work.
+
+    The shared execution math of every single-board replica: the batch
+    starts once the replica drains (and, under an injector, once its
+    down windows pass), runs at the active brownout scale, and may fail
+    — a crash window opening mid-batch aborts it at the crash cycle, a
+    transient fault wastes the full service time.  Advances
+    ``busy_until`` and returns the attempt, the cycles it occupied the
+    replica, and the brownout scale applied.
+    """
+    start = max(dispatch_cycle, replica.busy_until)
+    if injector is None:
+        end = start + service_cycles
+        replica.busy_until = end
+        return BatchAttempt(start, end, ok=True), service_cycles, 1.0
+    start = injector.available_from(replica.replica_id, start)
+    scale = injector.service_scale(replica.replica_id, start)
+    service = service_cycles * scale
+    end = start + service
+    crash = injector.crash_in(replica.replica_id, start, end)
+    if crash is not None:
+        replica.busy_until = crash
+        attempt = BatchAttempt(start, crash, ok=False, failure="crash")
+        return attempt, crash - start, scale
+    replica.busy_until = end
+    if injector.transient_failure(replica.replica_id):
+        attempt = BatchAttempt(start, end, ok=False, failure="transient")
+        return attempt, service, scale
+    return BatchAttempt(start, end, ok=True), service, scale
 
 
 def build_fleet(

@@ -33,6 +33,12 @@ over to healthy replicas, and — with ``max_queue`` set — sheds arrivals
 instead of growing the queue without bound when capacity drops.  With
 no faults configured, every one of these hooks is inert and the run is
 bit-identical to the fault-free scheduler.
+
+This is the only serving event loop.  It serves *lanes* — one per
+tenant — and :class:`FleetScheduler` is its one-lane case; the
+multi-tenant scheduler (:mod:`repro.capacity.multitenant`) runs it with
+one lane per model and a sharing discipline that breaks ties between
+lanes.
 """
 
 from __future__ import annotations
@@ -115,8 +121,426 @@ def synthetic_arrivals(
     return [float(t) for t in times]
 
 
-class FleetScheduler:
-    """Serves request traces against N replicas of one compiled design."""
+class _Lane:
+    """One tenant's side of the event loop.
+
+    A lane owns its tenant's arrival trace, dynamic batcher, retry heap
+    and backoff base, the records and failures it produced, and the
+    sharing bookkeeping a multi-lane run tie-breaks on.  The constructor
+    is the one place the loop turns arrival cycles into requests, so it
+    is where a trace is validated.
+    """
+
+    __slots__ = (
+        "index", "trace", "next_trace", "batcher", "retry_heap",
+        "backoff_base", "protected", "records", "failures", "retries",
+        "vtime", "last_finish", "occupancy",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        arrival_cycles: Sequence[float],
+        service_model: ServiceModel,
+        max_batch: int,
+        max_wait_cycles: float,
+        retry: RetryPolicy,
+        protected: bool = False,
+    ):
+        cycles = sorted(float(t) for t in arrival_cycles)
+        if not cycles:
+            raise ServingError("cannot serve an empty arrival trace")
+        if not all(map(math.isfinite, cycles)):
+            raise ServingError("arrival cycles must be finite (no NaN or inf)")
+        if cycles[0] < 0:
+            raise ServingError("arrival cycles must be non-negative")
+        self.index = index
+        # Not-yet-admitted requests, latest first: trace[-1] is next.
+        self.trace = [
+            InferenceRequest(request_id=i, arrival_cycle=t)
+            for i, t in enumerate(cycles)
+        ]
+        self.trace.reverse()
+        self.next_trace = cycles[0]  # trace[-1]'s arrival; inf once drained
+        self.batcher = DynamicBatcher(max_batch, max_wait_cycles)
+        self.retry_heap: List[Tuple[float, int, InferenceRequest]] = []
+        self.backoff_base = retry.backoff_cycles
+        if self.backoff_base is None:
+            self.backoff_base = 0.25 * service_model.single_image_cycles
+        self.protected = protected  # keeps its base queue bound when shedding
+        self.records: List[RequestRecord] = []
+        self.failures: List[RequestRecord] = []
+        self.retries = 0
+        self.vtime = 0.0  # weighted-fair virtual time
+        self.last_finish = 0.0  # end cycle of the lane's last batch
+        self.occupancy = 0.0  # replica cycles the lane consumed
+
+    def pending_cycle(self) -> float:
+        """Earliest not-yet-admitted arrival (trace or retry)."""
+        heap = self.retry_heap
+        if heap and heap[0][0] < self.next_trace:
+            return heap[0][0]
+        return self.next_trace
+
+    def result(self, replica_stats, **metrics) -> ServingResult:
+        """The lane's outcome, records and failures in request order."""
+        records = sorted(self.records, key=lambda r: r.request_id)
+        failures = sorted(self.failures, key=lambda r: r.request_id)
+        return ServingResult(
+            records=tuple(records),
+            metrics=aggregate_metrics(
+                records, replica_stats, failures=failures,
+                retries=self.retries, **metrics,
+            ),
+            failures=tuple(failures),
+        )
+
+
+class _ServingLoop:
+    """The event loop shared by every scheduler: lanes on one fleet.
+
+    A flat fleet serves one lane; a shared fleet serves one lane per
+    tenant.  The loop owns admission, batching, dispatch, retries,
+    failover and the dead-fleet path; subclasses plug in what really
+    differs through small hooks:
+
+    * ``_build_replicas`` / ``_execute`` — the executors and how one
+      batch runs on them;
+    * ``_build_control`` / ``_rebuild_replica`` / ``_control_dead_fleet``
+      — how control-plane actions apply to this kind of fleet;
+    * ``_lane_key(lane, lanes)`` / ``_activate(lane, lanes, cycle)`` /
+      ``_charge(lane, attempt)`` — the sharing discipline: the order of
+      lanes whose batches dispatch at the same instant, and its
+      bookkeeping when a request joins a lane and after a lane's batch
+      ran.  The loop consults them only when several lanes contend, so
+      only a scheduler that serves several lanes defines them.
+    """
+
+    def __init__(
+        self,
+        replicas: int,
+        policy: Union[str, Policy],
+        max_batch: int,
+        faults: Union[FaultSpec, str, None],
+        fault_seed: int,
+        retry: Optional[RetryPolicy],
+        max_queue: Optional[int],
+        resilience: Optional[ResiliencePolicy],
+    ):
+        self.policy = Policy(policy)
+        self.num_replicas = replicas
+        self.max_batch = max_batch
+        self.faults = (
+            FaultSpec.parse(faults) if isinstance(faults, str) else faults
+        )
+        self.fault_seed = fault_seed
+        self.retry = retry if retry is not None else RetryPolicy()
+        if max_queue is not None and max_queue < 1:
+            raise ServingError(f"max_queue must be >= 1, got {max_queue}")
+        self.max_queue = max_queue
+        self.resilience = resilience
+
+    def _build_injector(self) -> Optional[FaultInjector]:
+        """A fresh injector per run (overridable: pipelines add links)."""
+        if self.faults is None or self.faults.empty:
+            return None
+        return FaultInjector(
+            self.faults, seed=self.fault_seed, replicas=self.num_replicas
+        )
+
+    def _execute(self, replica, batch, clock: float, lane: _Lane, injector):
+        """Run one lane's batch on ``replica`` (overridable: shared boards)."""
+        return replica.execute_attempt(batch, clock, injector)
+
+    # -- the control plane (inert unless a resilience policy is attached) ----
+
+    def _apply_control(
+        self, control: RecoveryController, fleet, lanes: Sequence[_Lane]
+    ) -> None:
+        """Drain the controller's decisions into the running fleet."""
+        for action in control.pop_actions():
+            if action.kind == "shrink_batch":
+                for lane in lanes:
+                    lane.batcher.max_batch = control.max_batch
+            elif action.kind == "fallback_swap":
+                # Only a controller built with a fallback emits this.
+                self._apply_fallback(control, fleet, action.cycle)
+            elif action.kind == "shed":
+                pass  # admission reads control.tenant_queue_limit directly
+            elif action.kind == "rebuild":
+                self._rebuild_replica(control, fleet, action.replica,
+                                      action.cycle)
+
+    def _control_dead_fleet(
+        self, control: RecoveryController, fleet, clock: float, injector,
+        lanes: Sequence[_Lane],
+    ) -> bool:
+        """Give the control plane one shot before the mass-fail fallback.
+
+        Confirms deaths the attempt path never observed (a crash window
+        that opened while the replica sat idle) and applies any rebuild
+        the controller ordered.  True when a rebuild succeeded — the
+        caller should re-pick a target instead of failing the queue.
+        """
+        if not control.check_dead_fleet(fleet, clock, injector):
+            return False
+        self._apply_control(control, fleet, lanes)
+        return bool(control.rebuilt)
+
+    def _pick_replica(
+        self, fleet, rotation: int, clock: float, injector, rebuilt
+    ) -> Tuple[Optional[AcceleratorReplica], float]:
+        """The policy's target and the cycle it can start new work.
+
+        Without faults this is exactly the classic policy (the ready
+        cycle is the target's ``busy_until``).  With faults, each
+        replica's ready cycle also skips its down windows; round-robin
+        rotates past replicas that are down at their earliest start, and
+        a fleet with every replica permanently down returns ``None``.
+        """
+        if injector is None:
+            if self.policy is Policy.ROUND_ROBIN:
+                target = fleet[rotation % len(fleet)]
+            else:
+                target = min(fleet, key=lambda r: (r.busy_until, r.replica_id))
+            return target, target.busy_until
+        # A rebuilt replica runs the re-planned survivor pipeline: the
+        # dead device is no longer part of it, so the original fault
+        # schedule does not apply — it bypasses the injector.
+        ready = {
+            r.replica_id: (
+                max(clock, r.busy_until)
+                if r.replica_id in rebuilt
+                else injector.available_from(
+                    r.replica_id, max(clock, r.busy_until)
+                )
+            )
+            for r in fleet
+        }
+        if all(math.isinf(cycle) for cycle in ready.values()):
+            return None, math.inf
+        if self.policy is Policy.ROUND_ROBIN:
+            for offset in range(len(fleet)):
+                candidate = fleet[(rotation + offset) % len(fleet)]
+                at = ready[candidate.replica_id]
+                # "Up right now": no down window delayed its start.
+                if at == max(clock, candidate.busy_until):
+                    return candidate, at
+            # Everyone is down this instant: take the first to recover.
+        target = min(fleet, key=lambda r: (ready[r.replica_id], r.replica_id))
+        return target, ready[target.replica_id]
+
+    # -- the event loop ------------------------------------------------------
+
+    def _serve(
+        self,
+        lanes: Sequence[_Lane],
+        fleet,
+        injector: Optional[FaultInjector],
+        control: Optional[RecoveryController],
+    ) -> None:
+        """Serve every lane's trace to completion on ``fleet``.
+
+        Outcomes land in each lane's ``records``, ``failures`` and
+        ``retries``.  Ties between lanes go to the lowest lane index for
+        admission and to :meth:`_lane_key` for dispatch.
+        """
+        retry = self.retry
+        deadline = retry.deadline_cycles
+        max_queue = self.max_queue
+        multi = len(lanes) > 1
+        inf = math.inf
+        retry_seq = count()
+        rebuilt = control.rebuilt if control is not None else {}
+        # Requests not yet completed, failed or shed; requests waiting
+        # in some lane's batcher.
+        outstanding = sum(len(lane.trace) for lane in lanes)
+        queued = 0
+        clock = 0.0
+        rotation = 0
+
+        def settle(lane: _Lane, requests: Sequence[InferenceRequest],
+                   start: float, end: float, replica_id: int,
+                   batch_size: int, outcome: str = "failed") -> None:
+            """Record final outcomes: the requests leave the system."""
+            nonlocal outstanding
+            outstanding -= len(requests)
+            outcomes = lane.records if outcome == "completed" else lane.failures
+            for request in requests:
+                outcomes.append(
+                    RequestRecord(
+                        request_id=request.request_id,
+                        arrival_cycle=request.origin_cycle,
+                        dispatch_cycle=start,
+                        completion_cycle=end,
+                        replica_id=replica_id,
+                        batch_size=batch_size,
+                        attempts=request.attempts,
+                        outcome=outcome,
+                    )
+                )
+
+        def admit(lane: _Lane) -> None:
+            """Admit the lane's earliest pending request (retries win ties).
+
+            Fresh arrivals are subject to admission control: with a
+            queue bound set and the lane's queue full, the request is
+            shed.  Retries are always admitted — they already hold
+            completed queueing credit and shedding them would waste the
+            backoff — unless their deadline has already passed by
+            admission time: the clock can run past a queued retry's
+            rearrival (a full batch dispatches without draining the
+            admission stream), and a request admitted at or after its
+            deadline would only burn a doomed service attempt.
+            """
+            nonlocal queued
+            heap = lane.retry_heap
+            if heap and heap[0][0] <= lane.next_trace:
+                rearrival, _, request = heappop(heap)
+                at = max(clock, rearrival)
+                if deadline is not None and at >= request.origin_cycle + deadline:
+                    settle(lane, (request,), at, at, -1, 0)
+                    return
+                if multi:
+                    self._activate(lane, lanes, rearrival)
+            else:
+                trace = lane.trace
+                request = trace.pop()
+                lane.next_trace = trace[-1].arrival_cycle if trace else inf
+                limit = (
+                    max_queue
+                    if control is None
+                    else control.tenant_queue_limit(max_queue, lane.protected)
+                )
+                if limit is not None and len(lane.batcher) >= limit:
+                    at = request.arrival_cycle
+                    settle(lane, (request,), at, at, -1, 0, "shed")
+                    return
+                if multi:
+                    self._activate(lane, lanes, request.arrival_cycle)
+            lane.batcher.add(request)
+            queued += 1
+
+        def earliest() -> Tuple[float, Optional[_Lane]]:
+            """Earliest pending arrival of any lane (lowest index wins)."""
+            best_cycle, best_lane = inf, None
+            for lane in lanes:
+                cycle = lane.pending_cycle()
+                if cycle < best_cycle:
+                    best_cycle, best_lane = cycle, lane
+            return best_cycle, best_lane
+
+        while outstanding:
+            if not queued:
+                # Idle: jump the clock to the next arrival or retry and
+                # admit everything due by then.
+                due, lane = earliest()
+                clock = max(clock, due)
+                while due <= clock:
+                    admit(lane)
+                    due, lane = earliest()
+                continue
+            target, ready_at = self._pick_replica(
+                fleet, rotation, clock, injector, rebuilt
+            )
+            if target is None:
+                # Before declaring the fleet dead, give the control
+                # plane one shot: a crash that opened while the fleet
+                # sat idle was never seen by the attempt path, and a
+                # pipelined fleet can re-plan over the survivors.
+                if control is not None and self._control_dead_fleet(
+                    control, fleet, clock, injector, lanes
+                ):
+                    continue
+                # Every replica is permanently down: the queues, pending
+                # retries, and all future arrivals fail — nothing will
+                # ever serve them.
+                for lane in lanes:
+                    doomed = (
+                        [(r.arrival_cycle, r) for r in lane.batcher.pending]
+                        + [(c, r) for c, _, r in sorted(lane.retry_heap)]
+                        + [(r.arrival_cycle, r) for r in reversed(lane.trace)]
+                    )
+                    for cycle, request in doomed:
+                        at = max(clock, cycle)
+                        settle(lane, (request,), at, at, -1, 0)
+                break
+            # One scan: which lane's batch dispatches first, and when —
+            # and the earliest pending arrival among lanes with batch
+            # room.  Arrivals at or before the dispatch instant join
+            # first (they may fill a batch and move the dispatch
+            # earlier); a full lane does not gate admission, so one
+            # lane's backlog cannot freeze the others out of contention.
+            chosen, dispatch_at = None, inf
+            due, due_lane = inf, None
+            for lane in lanes:
+                batcher = lane.batcher
+                if batcher.has_full_batch():
+                    at = max(clock, ready_at)
+                else:
+                    cycle = lane.pending_cycle()
+                    if cycle < due:
+                        due, due_lane = cycle, lane
+                    if not len(batcher):
+                        continue
+                    at = max(clock, batcher.next_deadline(), ready_at)
+                if at < dispatch_at or (
+                    at == dispatch_at
+                    and self._lane_key(lane, lanes)
+                    < self._lane_key(chosen, lanes)
+                ):
+                    chosen, dispatch_at = lane, at
+            if due <= dispatch_at:
+                clock = max(clock, due)
+                admit(due_lane)
+                continue
+            clock = dispatch_at
+            batch = chosen.batcher.pop_batch(clock)
+            queued -= len(batch)
+            attempt = self._execute(
+                target, batch, clock, chosen,
+                # A survivor plan voids the old fault schedule.
+                None if target.replica_id in rebuilt else injector,
+            )
+            rotation += 1
+            if control is not None:
+                control.observe(
+                    target.replica_id, attempt, len(batch), injector
+                )
+                self._apply_control(control, fleet, lanes)
+            if multi:
+                self._charge(chosen, attempt)
+            if attempt.ok:
+                settle(chosen, batch, attempt.start_cycle, attempt.end_cycle,
+                       target.replica_id, len(batch), "completed")
+                continue
+            # The batch failed (crash or transient): retry each request
+            # with exponential backoff until its attempts or deadline
+            # run out.  Re-arrivals merge back into the admission stream,
+            # so surviving replicas pick the work up — failover.
+            for request in batch:
+                rearrival = attempt.end_cycle + retry.backoff(
+                    request.attempts, chosen.backoff_base
+                )
+                if request.attempts >= retry.max_attempts or (
+                    deadline is not None
+                    and rearrival >= request.origin_cycle + deadline
+                ):
+                    settle(chosen, (request,), attempt.start_cycle,
+                           attempt.end_cycle, target.replica_id, len(batch))
+                else:
+                    chosen.retries += 1
+                    heappush(
+                        chosen.retry_heap,
+                        (rearrival, next(retry_seq), request.retry_at(rearrival)),
+                    )
+
+
+class FleetScheduler(_ServingLoop):
+    """Serves request traces against N replicas of one compiled design.
+
+    The one-lane case of the shared event loop.
+    """
 
     def __init__(
         self,
@@ -169,28 +593,18 @@ class FleetScheduler:
             fallback_swap_cycles: Virtual-clock price of one warm swap
                 (the fallback strategy's weight-transfer cost).
         """
-        self.policy = Policy(policy)
+        super().__init__(replicas, policy, max_batch, faults, fault_seed,
+                         retry, max_queue, resilience)
         if max_wait_cycles is None:
             max_wait_cycles = 0.5 * service_model.single_image_cycles
         self.service_model = service_model
-        self.max_batch = max_batch
         self.max_wait_cycles = max_wait_cycles
-        self.num_replicas = replicas
         self.frequency_hz = frequency_hz
         self.ops_per_request = ops_per_request
         self.reference_gops = reference_gops
-        self.faults = (
-            FaultSpec.parse(faults) if isinstance(faults, str) else faults
-        )
-        self.fault_seed = fault_seed
-        self.retry = retry if retry is not None else RetryPolicy()
-        if max_queue is not None and max_queue < 1:
-            raise ServingError(f"max_queue must be >= 1, got {max_queue}")
-        self.max_queue = max_queue
         if slo_cycles is not None and slo_cycles <= 0:
             raise ServingError(f"slo_cycles must be positive, got {slo_cycles}")
         self.slo_cycles = slo_cycles
-        self.resilience = resilience
         self.fallback_model = fallback_model
         self.fallback_swap_cycles = fallback_swap_cycles
         if fallback_swap_cycles < 0:
@@ -331,19 +745,11 @@ class FleetScheduler:
             raise ServingError(f"load must be positive, got {load}")
         return self.per_request_capacity_cycles() / load
 
-    # -- the event loop ------------------------------------------------------
+    # -- executors -----------------------------------------------------------
 
     def _build_replicas(self) -> List[AcceleratorReplica]:
         """The executors one run dispatches to (overridable: pipelines)."""
         return build_fleet(self.service_model, self.num_replicas)
-
-    def _build_injector(self) -> Optional[FaultInjector]:
-        """A fresh injector per run (overridable: pipelines add links)."""
-        if self.faults is None or self.faults.empty:
-            return None
-        return FaultInjector(
-            self.faults, seed=self.fault_seed, replicas=self.num_replicas
-        )
 
     def _collect_stats(self, fleet) -> List:
         """Per-executor stats for the metrics (overridable: per stage)."""
@@ -364,21 +770,6 @@ class FleetScheduler:
             latency_trigger=True,
             baseline_fn=self.service_model.batch_cycles,
         )
-
-    def _apply_control(
-        self, control: RecoveryController, fleet, batcher: DynamicBatcher
-    ) -> None:
-        """Drain the controller's decisions into the running fleet."""
-        for action in control.pop_actions():
-            if action.kind == "shrink_batch":
-                batcher.max_batch = control.max_batch
-            elif action.kind == "fallback_swap":
-                self._apply_fallback(control, fleet, action.cycle)
-            elif action.kind == "shed":
-                pass  # admission reads control.max_queue directly
-            elif action.kind == "rebuild":
-                self._rebuild_replica(control, fleet, action.replica,
-                                      action.cycle)
 
     def _apply_fallback(
         self, control: RecoveryController, fleet, cycle: float
@@ -410,74 +801,6 @@ class FleetScheduler:
             "flat fleet: no survivor plan (failover handles the loss)",
         )
 
-    def _control_dead_fleet(
-        self, control: RecoveryController, fleet, clock: float, injector,
-        batcher: DynamicBatcher,
-    ) -> bool:
-        """Give the control plane one shot before the mass-fail fallback.
-
-        Confirms deaths the attempt path never observed (a crash window
-        that opened while the replica sat idle) and applies any rebuild
-        the controller ordered.  True when a rebuild succeeded — the
-        caller should re-pick a target instead of failing the queue.
-        """
-        if not control.check_dead_fleet(fleet, clock, injector):
-            return False
-        self._apply_control(control, fleet, batcher)
-        return bool(control.rebuilt)
-
-    def _pick_replica(
-        self, fleet, rotation: int, clock: float, injector
-    ) -> Tuple[Optional[AcceleratorReplica], float]:
-        """The policy's target and the cycle it can start new work.
-
-        Without faults this is exactly the classic policy (the ready
-        cycle is the target's ``busy_until``).  With faults, each
-        replica's ready cycle also skips its down windows; round-robin
-        rotates past replicas that are down at their earliest start, and
-        a fleet with every replica permanently down returns ``None``.
-        """
-        if injector is None:
-            if self.policy is Policy.ROUND_ROBIN:
-                target = fleet[rotation % len(fleet)]
-            else:
-                target = min(fleet, key=lambda r: (r.busy_until, r.replica_id))
-            return target, target.busy_until
-        # A rebuilt replica runs the re-planned survivor pipeline: the
-        # dead device is no longer part of it, so the original fault
-        # schedule does not apply — it bypasses the injector.
-        rebuilt = (
-            self._active_control.rebuilt
-            if self._active_control is not None
-            else {}
-        )
-        ready = {
-            r.replica_id: (
-                max(clock, r.busy_until)
-                if r.replica_id in rebuilt
-                else injector.available_from(
-                    r.replica_id, max(clock, r.busy_until)
-                )
-            )
-            for r in fleet
-        }
-        if all(math.isinf(cycle) for cycle in ready.values()):
-            return None, math.inf
-        if self.policy is Policy.ROUND_ROBIN:
-            for offset in range(len(fleet)):
-                candidate = fleet[(rotation + offset) % len(fleet)]
-                at = ready[candidate.replica_id]
-                # "Up right now": no down window delayed its start.
-                if at == max(clock, candidate.busy_until):
-                    return candidate, at
-            # Everyone is down this instant: take the first to recover.
-        target = min(fleet, key=lambda r: (ready[r.replica_id], r.replica_id))
-        return target, ready[target.replica_id]
-
-    def health_report(self, fleet, clock: float, injector) -> List[str]:
-        """Health of every replica at ``clock`` (up/draining/down)."""
-        return [replica.health(clock, injector) for replica in fleet]
-
     def run(
         self,
         arrival_cycles: Sequence[float],
@@ -490,239 +813,29 @@ class FleetScheduler:
         metrics so a ``--json`` payload alone suffices to replay the
         run; it does not affect scheduling.
         """
-        if len(arrival_cycles) == 0:
-            raise ServingError("cannot serve an empty arrival trace")
-        arrivals = sorted(float(t) for t in arrival_cycles)
-        if arrivals[0] < 0:
-            raise ServingError("arrival cycles must be non-negative")
-        requests = [
-            InferenceRequest(request_id=i, arrival_cycle=t)
-            for i, t in enumerate(arrivals)
-        ]
+        lane = _Lane(0, arrival_cycles, self.service_model, self.max_batch,
+                     self.max_wait_cycles, self.retry)
         fleet = self._build_replicas()
         injector = self._build_injector()
         control = self._build_control()
         self._active_control = control
-        batcher = DynamicBatcher(self.max_batch, self.max_wait_cycles)
-        backoff_base = self.retry.backoff_cycles
-        if backoff_base is None:
-            backoff_base = 0.25 * self.service_model.single_image_cycles
-        records: List[RequestRecord] = []
-        failures: List[RequestRecord] = []
-        retry_heap: List[Tuple[float, int, InferenceRequest]] = []
-        retry_seq = count()
-        retries = 0
-        clock = 0.0
-        rotation = 0
-        next_arrival = 0
-
-        def next_pending_cycle() -> float:
-            """Earliest not-yet-admitted arrival (trace or retry)."""
-            cycle = math.inf
-            if next_arrival < len(requests):
-                cycle = requests[next_arrival].arrival_cycle
-            if retry_heap:
-                cycle = min(cycle, retry_heap[0][0])
-            return cycle
-
-        def admit_one() -> None:
-            """Admit the earliest pending request (retries win ties).
-
-            Fresh arrivals are subject to admission control: with
-            ``max_queue`` set and the queue full, the request is shed.
-            Retries are always admitted — they already hold completed
-            queueing credit and shedding them would waste the backoff —
-            unless their deadline has already passed by admission time:
-            the clock can run past a queued retry's rearrival (a full
-            batch dispatches without draining the admission stream), and
-            a request admitted at or after its deadline would only burn
-            a doomed service attempt.
-            """
-            nonlocal next_arrival
-            trace_cycle = (
-                requests[next_arrival].arrival_cycle
-                if next_arrival < len(requests)
-                else math.inf
-            )
-            if retry_heap and retry_heap[0][0] <= trace_cycle:
-                rearrival, _, request = heappop(retry_heap)
-                at = max(clock, rearrival)
-                deadline_at = (
-                    request.origin_cycle + self.retry.deadline_cycles
-                    if self.retry.deadline_cycles is not None
-                    else math.inf
-                )
-                if at >= deadline_at:
-                    drop_failed(request, at, at, -1, 0)
-                    return
-                batcher.add(request)
-                return
-            request = requests[next_arrival]
-            next_arrival += 1
-            max_queue = (
-                control.max_queue if control is not None else self.max_queue
-            )
-            if max_queue is not None and len(batcher) >= max_queue:
-                failures.append(
-                    RequestRecord(
-                        request_id=request.request_id,
-                        arrival_cycle=request.origin_cycle,
-                        dispatch_cycle=request.arrival_cycle,
-                        completion_cycle=request.arrival_cycle,
-                        replica_id=-1,
-                        batch_size=0,
-                        attempts=request.attempts,
-                        outcome="shed",
-                    )
-                )
-                return
-            batcher.add(request)
-
-        def drop_failed(request: InferenceRequest, start: float, end: float,
-                        replica_id: int, batch_size: int) -> None:
-            failures.append(
-                RequestRecord(
-                    request_id=request.request_id,
-                    arrival_cycle=request.origin_cycle,
-                    dispatch_cycle=start,
-                    completion_cycle=end,
-                    replica_id=replica_id,
-                    batch_size=batch_size,
-                    attempts=request.attempts,
-                    outcome="failed",
-                )
-            )
-
-        while next_arrival < len(requests) or retry_heap or len(batcher):
-            if not len(batcher):
-                # Idle: jump the clock to the next arrival or retry.
-                clock = max(clock, next_pending_cycle())
-                while next_pending_cycle() <= clock:
-                    admit_one()
-                continue
-            target, ready_at = self._pick_replica(
-                fleet, rotation, clock, injector
-            )
-            if target is None:
-                # Before declaring the fleet dead, give the control
-                # plane one shot: a crash that opened while the fleet
-                # sat idle was never seen by the attempt path, and a
-                # pipelined fleet can re-plan over the survivors.
-                if control is not None and self._control_dead_fleet(
-                    control, fleet, clock, injector, batcher
-                ):
-                    continue
-                # Every replica is permanently down: the queue, pending
-                # retries, and all future arrivals fail — nothing will
-                # ever serve them.
-                for request in batcher.pending:
-                    at = max(clock, request.arrival_cycle)
-                    drop_failed(request, at, at, -1, 0)
-                while retry_heap:
-                    cycle, _, request = heappop(retry_heap)
-                    at = max(clock, cycle)
-                    drop_failed(request, at, at, -1, 0)
-                while next_arrival < len(requests):
-                    request = requests[next_arrival]
-                    next_arrival += 1
-                    at = max(clock, request.arrival_cycle)
-                    drop_failed(request, at, at, -1, 0)
-                break
-            # When would the pending batch be dispatched?
-            if batcher.has_full_batch():
-                dispatch_at = max(clock, ready_at)
-            else:
-                dispatch_at = max(clock, batcher.next_deadline(), ready_at)
-            # Arrivals at or before that instant join the batch first
-            # (they may fill it and move the dispatch earlier).
-            if (
-                not batcher.has_full_batch()
-                and next_pending_cycle() <= dispatch_at
-            ):
-                clock = max(clock, next_pending_cycle())
-                admit_one()
-                continue
-            clock = dispatch_at
-            batch = batcher.pop_batch(clock)
-            exec_injector = injector
-            if control is not None and target.replica_id in control.rebuilt:
-                exec_injector = None  # survivor plan: old schedule is void
-            attempt = target.execute_attempt(batch, clock, exec_injector)
-            rotation += 1
-            if control is not None:
-                control.observe(
-                    target.replica_id, attempt, len(batch), injector
-                )
-                self._apply_control(control, fleet, batcher)
-            if attempt.ok:
-                for request in batch:
-                    records.append(
-                        RequestRecord(
-                            request_id=request.request_id,
-                            arrival_cycle=request.origin_cycle,
-                            dispatch_cycle=attempt.start_cycle,
-                            completion_cycle=attempt.end_cycle,
-                            replica_id=target.replica_id,
-                            batch_size=len(batch),
-                            attempts=request.attempts,
-                        )
-                    )
-                continue
-            # The batch failed (crash or transient): retry each request
-            # with exponential backoff until its attempts or deadline
-            # run out.  Re-arrivals merge back into the admission stream,
-            # so surviving replicas pick the work up — failover.
-            for request in batch:
-                backoff = self.retry.backoff(request.attempts, backoff_base)
-                rearrival = attempt.end_cycle + backoff
-                deadline_at = (
-                    request.origin_cycle + self.retry.deadline_cycles
-                    if self.retry.deadline_cycles is not None
-                    else math.inf
-                )
-                if (
-                    request.attempts >= self.retry.max_attempts
-                    or rearrival >= deadline_at
-                ):
-                    drop_failed(
-                        request,
-                        attempt.start_cycle,
-                        attempt.end_cycle,
-                        target.replica_id,
-                        len(batch),
-                    )
-                else:
-                    retries += 1
-                    heappush(
-                        retry_heap,
-                        (rearrival, next(retry_seq), request.retry_at(rearrival)),
-                    )
-        records.sort(key=lambda r: r.request_id)
-        failures.sort(key=lambda r: r.request_id)
-        recovery = (
-            control.finalize(records, self.frequency_hz)
-            if control is not None
-            else None
-        )
-        metrics = aggregate_metrics(
-            records,
+        self._serve([lane], fleet, injector, control)
+        result = lane.result(
             self._collect_stats(fleet),
             frequency_hz=self.frequency_hz,
             ops_per_request=self.ops_per_request,
             single_image_cycles=self.service_model.single_image_cycles,
             reference_gops=self.reference_gops,
-            failures=failures,
-            retries=retries,
             slo_cycles=self.slo_cycles,
             arrival=arrival,
-            recovery=recovery,
+            recovery=(
+                control.finalize(lane.records, self.frequency_hz)
+                if control is not None
+                else None
+            ),
         )
         self._active_control = None
-        return ServingResult(
-            records=tuple(records),
-            metrics=metrics,
-            failures=tuple(failures),
-        )
+        return result
 
     def run_open_loop(
         self,

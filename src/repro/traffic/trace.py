@@ -123,6 +123,10 @@ class TenantTrace:
         if not self.cycles:
             raise TrafficError(f"tenant {self.name!r} trace holds no arrivals")
         ordered = tuple(float(t) for t in self.cycles)
+        if not all(map(math.isfinite, ordered)):
+            raise TrafficError(
+                f"tenant {self.name!r} trace has a non-finite arrival cycle"
+            )
         if any(t < 0 for t in ordered):
             raise TrafficError(
                 f"tenant {self.name!r} trace has a negative arrival cycle"

@@ -12,6 +12,8 @@ last arrival cycle): finite traces always drain eventually, so the
 load.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from repro.capacity import (
     SHARING_KINDS,
     Tenant,
 )
+from repro.faults import RetryPolicy
 from repro.serve.batcher import ServingError
 from repro.serve.scheduler import FleetScheduler, Policy, synthetic_arrivals
 from repro.sim.simulator import GroupServiceModel, ServiceModel
@@ -117,14 +120,28 @@ class TestDegeneracy:
             fleet.saturating_interarrival(2.0),
             np.random.default_rng(1),
         )
-        self.assert_identical(
-            tiny_strategy,
-            arrivals,
-            replicas=2,
-            faults="crash:replica=0,at=50000;transient:p=0.1",
-            fault_seed=3,
-            max_queue=8,
-        )
+        single = fleet.service_model.single_image_cycles
+        for policy, transient, retry in (
+            (Policy.LEAST_LOADED, 0.1, None),
+            (Policy.ROUND_ROBIN, 0.1, None),
+            # One retry and a tight deadline reach the retry-deadline
+            # and max-attempts drops next to the shed path.
+            (
+                Policy.ROUND_ROBIN,
+                0.5,
+                RetryPolicy(max_attempts=2, deadline_cycles=2.5 * single),
+            ),
+        ):
+            self.assert_identical(
+                tiny_strategy,
+                arrivals,
+                replicas=2,
+                policy=policy,
+                faults=f"crash:replica=0,at=50000;transient:p={transient}",
+                fault_seed=3,
+                max_queue=8,
+                retry=retry,
+            )
 
     def test_bursty_arrivals(self, tiny_strategy):
         fleet = FleetScheduler.for_strategy(tiny_strategy, verify=False)
@@ -334,3 +351,9 @@ class TestValidation:
             scheduler.run({"a": [0.0], "b": [0.0], "c": [0.0]})
         with pytest.raises(ServingError):
             scheduler.run({"a": [0.0], "b": []})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arrival_rejected(self, bad):
+        scheduler = MultiTenantScheduler([make_tenant("a"), make_tenant("b")])
+        with pytest.raises(ServingError, match="finite"):
+            scheduler.run({"a": [0.0, 5.0], "b": [0.0, bad, 5.0]})

@@ -1,5 +1,7 @@
 """Scheduler tests: hand-computed virtual-clock traces for both policies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,13 @@ class TestValidation:
     def test_negative_arrival_rejected(self):
         with pytest.raises(ServingError):
             scheduler().run([-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arrival_rejected(self, bad):
+        # Unchecked, a NaN arrival never compares due and an inf one is
+        # never reached: the loop would spin or run off the trace.
+        with pytest.raises(ServingError, match="finite"):
+            scheduler().run([0.0, bad, 5.0])
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):

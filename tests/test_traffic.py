@@ -1,5 +1,7 @@
 """Traffic package tests: grammar, determinism, summaries, artifacts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,15 @@ class TestTrafficTrace:
             TenantTrace(name="a", cycles=())
         with pytest.raises(TrafficError):
             TenantTrace(name="a", cycles=(-1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cycles_rejected(self, bad):
+        # json.loads accepts NaN and Infinity, so a hand-edited trace
+        # file can carry them into a serving run.
+        from repro.traffic import TenantTrace
+
+        with pytest.raises(TrafficError, match="non-finite"):
+            TenantTrace(name="a", cycles=(0.0, bad, 5.0))
 
     def test_summary_mentions_every_tenant(self):
         trace = TrafficTrace.record(self.SPECS, num_requests=16, seed=3)
