@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -45,7 +46,7 @@ MB = 2**20
 
 
 def _parse_size(text: str) -> int:
-    """Parse '2MB', '340KB', '123456' into bytes."""
+    """Parse '2MB', '340KB', '123456' into a non-negative byte count."""
     cleaned = text.strip().upper()
     multiplier = 1
     for suffix, factor in (("MB", MB), ("KB", 1024), ("B", 1)):
@@ -54,9 +55,15 @@ def _parse_size(text: str) -> int:
             multiplier = factor
             break
     try:
-        return int(float(cleaned) * multiplier)
+        size = float(cleaned) * multiplier
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse size {text!r}") from None
+        size = math.nan
+    if not (math.isfinite(size) and size >= 0):
+        raise argparse.ArgumentTypeError(
+            f"cannot parse size {text!r} (expected a non-negative byte "
+            "count, optionally suffixed KB or MB)"
+        )
+    return int(size)
 
 
 def _store_from_args(args: argparse.Namespace):
@@ -180,7 +187,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         device=args.device,
         transfer_constraint_bytes=args.transfer,
         output_dir=Path(args.out) if args.out else None,
-        workers=args.workers,
         verify=not args.no_verify,
         store=_store_from_args(args),
     )
@@ -248,8 +254,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     device = get_device(args.device)
     constraints = [_parse_size(c) for c in args.constraints.split(",")]
     strategies = optimize_many(
-        network, device, constraints, workers=args.workers,
-        store=_store_from_args(args),
+        network, device, constraints, store=_store_from_args(args)
     )
     baseline = None
     if args.baseline:
@@ -446,7 +451,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         network,
         devices=fleet,
         transfer_constraint_bytes=args.transfer,
-        workers=args.workers,
         verify=not args.no_verify,
     )
     from repro.partition.graph_cut import GraphPartitionPlan
@@ -542,7 +546,6 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         network,
         devices=fleet,
         transfer_constraint_bytes=args.transfer,
-        workers=args.workers,
         verify=not args.no_verify,
     )
     from repro.partition.graph_cut import GraphPartitionPlan
@@ -559,7 +562,6 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         args.dead_stage,
         transfer_constraint_bytes=args.transfer,
         store=store,
-        workers=args.workers,
     )
     wall_s = time.perf_counter() - started
     policy = ResiliencePolicy()
@@ -1148,11 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per-group wall time)",
     )
     compile_p.add_argument(
-        "--workers", type=int, default=None,
-        help="precompute fusion[i][j] searches with N threads "
-        "(strategy-preserving)",
-    )
-    compile_p.add_argument(
         "--json", action="store_true",
         help="emit the strategy as JSON instead of the report table",
     )
@@ -1185,11 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--stats", action="store_true",
         help="print search telemetry for the shared sweep search",
-    )
-    sweep_p.add_argument(
-        "--workers", type=int, default=None,
-        help="precompute fusion[i][j] searches with N threads "
-        "(strategy-preserving)",
     )
     sweep_p.add_argument(
         "--json", action="store_true",
@@ -1342,10 +1334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print search telemetry (stage queries, cuts considered, ...)",
     )
     part_p.add_argument(
-        "--workers", type=int, default=None,
-        help="precompute fusion searches with N threads",
-    )
-    part_p.add_argument(
         "--save", default=None, metavar="PATH",
         help="write the partition plan JSON here",
     )
@@ -1414,11 +1402,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="route both searches through an on-disk cost store so the "
         "re-plan is a warm-cache operation; DIR defaults to "
         "$REPRO_COST_CACHE or ~/.cache/repro/cost_store",
-    )
-    replan_p.add_argument(
-        "--workers", type=int, default=None,
-        help="precompute fusion searches with N threads "
-        "(wall time only; the plan is deterministic)",
     )
     replan_p.add_argument(
         "--save", default=None, metavar="PATH",
@@ -1708,9 +1691,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ReproError, OSError) as exc:
+    except (ReproError, OSError, argparse.ArgumentTypeError) as exc:
         # One clean line, no traceback: bad prototxt, unknown device,
-        # infeasible strategy, unwritable output directory, ...
+        # infeasible strategy, unwritable output directory, a bad entry
+        # in a comma-separated size list, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -505,9 +505,7 @@ def _lower_eltwise(name: str, msg: Message) -> EltwiseLayer:
     return EltwiseLayer(name=name, operation=operation)
 
 
-def graph_from_prototxt(
-    text: str, fold_relu: bool = True, require_series_parallel: bool = True
-) -> Graph:
+def graph_from_prototxt(text: str, fold_relu: bool = True) -> Graph:
     """Lower prototxt text to a DAG :class:`~repro.nn.graph.Graph`.
 
     The branching sibling of :func:`network_from_prototxt`: ``bottom``/
@@ -519,9 +517,8 @@ def graph_from_prototxt(
     Raises:
         ParseError: One line with the offending prototxt line and field,
             for unknown blobs, unsupported Concat axes or Eltwise
-            operations, cyclic wiring and — unless
-            ``require_series_parallel`` is off — topologies the
-            series-parallel optimizer cannot decompose.
+            operations, cyclic wiring and topologies the series-parallel
+            optimizer cannot decompose.
     """
     root = parse_prototxt(text)
     spec = _input_spec(root)
@@ -632,17 +629,11 @@ def graph_from_prototxt(
 
     try:
         graph = Graph(name, spec, nodes, input_name=input_blob)
+        graph.decompose()
     except ShapeError as exc:
         raise ParseError(
             f"line {_offending_line(str(exc))}: field 'layer': {exc}"
         ) from None
-    if require_series_parallel:
-        try:
-            graph.decompose()
-        except ShapeError as exc:
-            raise ParseError(
-                f"line {_offending_line(str(exc))}: field 'layer': {exc}"
-            ) from None
     return graph
 
 

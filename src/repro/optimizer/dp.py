@@ -83,24 +83,17 @@ class FrontierOptimizer:
         explore_tile_sizes: bool = False,
         node_budget: int = 250_000,
         context: Optional[CostModel] = None,
-        workers: Optional[int] = None,
     ):
         """Args:
             context: Shared signature-keyed evaluation layer (created
                 privately when omitted); pass one to share
                 ``implement()`` results and telemetry across sweeps.
-            workers: When > 1, the independent ``fusion[i][j]`` group
-                searches are precomputed by a thread pool before the
-                first frontier query (safe: the context is the only
-                shared state).  The chosen strategies are identical to
-                the sequential search.
         """
         if len(network) == 0:
             raise OptimizationError("cannot optimize an empty network")
         self.network = network
         self.device = device
         self.context: CostModel = context if context is not None else EvalContext()
-        self.workers = workers
         self.search = GroupSearch(
             network,
             device,
@@ -110,7 +103,6 @@ class FrontierOptimizer:
             context=self.context,
         )
         self._frontiers: Dict[Tuple[int, int], List[_Plan]] = {}
-        self._prewarmed = False
 
     @property
     def telemetry(self):
@@ -119,9 +111,6 @@ class FrontierOptimizer:
 
     def frontier(self, start: int, stop: int) -> List[_Plan]:
         """Non-dominated plans for layers ``[start, stop)``."""
-        if self.workers is not None and self.workers > 1 and not self._prewarmed:
-            self._prewarmed = True
-            self.search.precompute(workers=self.workers)
         key = (start, stop)
         cached = self._frontiers.get(key)
         if cached is not None:
@@ -223,7 +212,6 @@ def optimize(
     explore_tile_sizes: bool = False,
     node_budget: int = 250_000,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
     store=None,
 ) -> Strategy:
     """Problem 1: minimal-latency strategy under a transfer constraint.
@@ -237,24 +225,17 @@ def optimize(
         context: Shared :class:`~repro.perf.cost.EvalContext`; pass one
             to reuse ``implement()`` results across calls (e.g. a DSE
             sweep) and to collect telemetry externally.
-        workers: Precompute the independent ``fusion[i][j]`` searches
-            with a thread pool of this size (strategy-preserving).
         store: Persistent cost store (a :class:`repro.dse.CostStore` or
             its root path) to warm the search from and flush fresh
             evaluations to; mutually exclusive with ``context`` (attach
             the store to your own ``EvalContext`` for that).  The
             resulting strategy is bit-identical to a store-less run.
     """
-    context = _store_context(context, store)
-    optimizer = FrontierOptimizer(
-        network, device, explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget, context=context, workers=workers,
-    )
-    plan = optimizer.best_plan(transfer_constraint_bytes)
-    strategy = optimizer.materialize(plan)
-    strategy.validate(transfer_constraint_bytes)
-    _flush_context(context)
-    return strategy
+    return optimize_many(
+        network, device, [transfer_constraint_bytes],
+        explore_tile_sizes=explore_tile_sizes, node_budget=node_budget,
+        context=context, store=store,
+    )[0]
 
 
 def optimize_many(
@@ -264,7 +245,6 @@ def optimize_many(
     explore_tile_sizes: bool = False,
     node_budget: int = 250_000,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
     store=None,
 ) -> List[Strategy]:
     """Optimize under several transfer constraints, sharing the search.
@@ -278,7 +258,7 @@ def optimize_many(
     context = _store_context(context, store)
     optimizer = FrontierOptimizer(
         network, device, explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget, context=context, workers=workers,
+        node_budget=node_budget, context=context,
     )
     strategies = []
     for constraint in transfer_constraints_bytes:

@@ -418,7 +418,6 @@ class GraphOptimizer:
         explore_tile_sizes: bool = False,
         node_budget: int = 250_000,
         context: Optional[CostModel] = None,
-        workers: Optional[int] = None,
     ):
         if len(graph) == 0:
             raise OptimizationError("cannot optimize an empty graph")
@@ -429,7 +428,6 @@ class GraphOptimizer:
             explore_tile_sizes=explore_tile_sizes,
             node_budget=node_budget,
         )
-        self.workers = workers
         self._tree = graph.decompose()
         self._frontier: Optional[List[_GPlan]] = None
         self._chain_runs: Dict[Tuple[str, ...], FrontierOptimizer] = {}
@@ -462,7 +460,6 @@ class GraphOptimizer:
                 self._chain_network(graph, names),
                 self.device,
                 context=self.context,
-                workers=self.workers,
                 **self._optimizer_kwargs,
             )
             self._chain_runs[names] = cached
@@ -772,7 +769,6 @@ def optimize_graph(
     explore_tile_sizes: bool = False,
     node_budget: int = 250_000,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
     store=None,
 ) -> GraphStrategy:
     """Minimal-latency branch-aware strategy under a transfer constraint.
@@ -788,7 +784,6 @@ def optimize_graph(
         explore_tile_sizes=explore_tile_sizes,
         node_budget=node_budget,
         context=context,
-        workers=workers,
     )
     plan = optimizer.best_plan(transfer_constraint_bytes)
     strategy = optimizer.materialize(plan)

@@ -58,8 +58,8 @@ class CutOptimizer:
             budget (the paper's T, applied to each board separately);
             defaults to each stage's unfused traffic — effectively
             unconstrained, matching ``compile_model``'s default.
-        explore_tile_sizes / node_budget / workers: Forwarded to the
-            underlying single-device searches.
+        explore_tile_sizes / node_budget: Forwarded to the underlying
+            single-device searches.
         context: Shared evaluation layer; one context serves every
             device in the fleet (device identity is part of its key).
 
@@ -78,7 +78,6 @@ class CutOptimizer:
         explore_tile_sizes: bool = False,
         node_budget: int = 250_000,
         context: Optional[CostModel] = None,
-        workers: Optional[int] = None,
     ):
         self._bind(network)
         self.fleet = fleet
@@ -87,7 +86,6 @@ class CutOptimizer:
         self._optimizer_kwargs = dict(
             explore_tile_sizes=explore_tile_sizes,
             node_budget=node_budget,
-            workers=workers,
         )
         # Best feasible frontier plan of every (device, start, stop) unit
         # range queried so far; None marks an infeasible range.
@@ -328,7 +326,6 @@ def partition_network(
     explore_tile_sizes: bool = False,
     node_budget: int = 250_000,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
 ) -> PartitionPlan:
     """Split ``network`` across ``fleet``, minimizing the pipeline bottleneck.
 
@@ -342,6 +339,5 @@ def partition_network(
         explore_tile_sizes=explore_tile_sizes,
         node_budget=node_budget,
         context=context,
-        workers=workers,
     )
     return optimizer.solve()

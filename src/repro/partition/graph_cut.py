@@ -292,7 +292,6 @@ def partition_graph(
     explore_tile_sizes: bool = False,
     node_budget: int = 250_000,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
 ) -> GraphPartitionPlan:
     """Split ``graph`` across ``fleet``, cutting only on DAG edges.
 
@@ -305,6 +304,5 @@ def partition_graph(
         explore_tile_sizes=explore_tile_sizes,
         node_budget=node_budget,
         context=context,
-        workers=workers,
     )
     return optimizer.solve()

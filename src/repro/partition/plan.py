@@ -285,7 +285,6 @@ class PartitionPlan(PipelinePlan):
         resilience=None,
         replan_context=None,
         replan_store=None,
-        replan_workers: Optional[int] = None,
         verify: bool = True,
     ):
         """Stand up a simulated pipelined serving fleet for this plan.
@@ -300,8 +299,7 @@ class PartitionPlan(PipelinePlan):
         :mod:`repro.resilience` control plane — on confirmed death of a
         stage's device the fleet re-partitions the network over the
         survivors (pass ``replan_context`` / ``replan_store`` so the
-        re-plan hits a warm cost cache; ``replan_workers`` only affects
-        wall time).  ``verify`` (default on) runs the plan invariant
+        re-plan hits a warm cost cache).  ``verify`` (default on) runs the plan invariant
         validators at admission, rejecting a stale or inconsistent plan
         with a :class:`~repro.errors.VerificationError` before it serves
         traffic; serving behaviour is identical either way.
@@ -326,7 +324,6 @@ class PartitionPlan(PipelinePlan):
             resilience=resilience,
             replan_context=replan_context,
             replan_store=replan_store,
-            replan_workers=replan_workers,
         )
 
     # -- serialization -------------------------------------------------------

@@ -22,9 +22,9 @@ This module replaces those ad-hoc caches with one first-class layer:
   :class:`~repro.perf.implement.Implementation` results keyed by
   ``(signature, algorithm, weight mode, winograd m, parallelism,
   device)`` and is safely shareable across fusion groups, constraint
-  sweeps (``optimize_many``), device-variant DSE sweeps, and the
-  opt-in ``workers=N`` thread pool (its caches are guarded by a lock;
-  results are deterministic regardless of evaluation order).
+  sweeps (``optimize_many``), device-variant DSE sweeps, and a
+  caller's own threads (its caches are guarded by a lock; results are
+  deterministic regardless of evaluation order).
 * :class:`SearchTelemetry` — counters the context and the searches
   thread through it accumulate: cost-model evaluations, cache hits,
   branch-and-bound nodes visited/pruned, and per-group wall times.
@@ -250,10 +250,10 @@ class EvalContext:
             functions of the key, a store-backed context produces
             bit-identical results to a cold one — only faster.
 
-    The context is the *only* state shared between parallel
-    ``fusion[i][j]`` searches (``workers=N``); its cache and telemetry
-    mutations are lock-guarded, and since ``implement()`` is a pure
-    function of the key, concurrent searches are deterministic.
+    The context is the *only* state searches share, so a caller may
+    hand one context to searches on its own threads: its cache and
+    telemetry mutations are lock-guarded, and since ``implement()`` is
+    a pure function of the key, concurrent searches are deterministic.
     """
 
     def __init__(self, share_identical_layers: bool = True, store=None):

@@ -269,9 +269,7 @@ def compile_graph(
     model: Union[str, Path, Graph],
     device: Union[str, FPGADevice] = "zc706",
     transfer_constraint_bytes: Optional[int] = None,
-    accelerated_only: bool = True,
     explore_tile_sizes: bool = False,
-    workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
     store=None,
@@ -285,19 +283,18 @@ def compile_graph(
     degenerates exactly; see ``docs/ir.md``).
 
     Accepts a :class:`Graph`, prototxt text, or a prototxt path; a
-    linear model is wrapped via :meth:`Graph.from_network`.  All the
-    shared knobs (``transfer_constraint_bytes`` = the paper's T,
-    ``explore_tile_sizes``, ``workers``, ``context``, ``store``,
-    ``verify``) behave as in :func:`compile_model`; ``verify`` runs the
-    branch-aware :func:`repro.check.verify_graph_strategy` validators.
+    linear model is wrapped via :meth:`Graph.from_network`.  The
+    host-side layers are trimmed and the shared knobs
+    (``transfer_constraint_bytes`` = the paper's T,
+    ``explore_tile_sizes``, ``context``, ``store``, ``verify``) behave
+    as in :func:`compile_model`; ``verify`` runs the branch-aware
+    :func:`repro.check.verify_graph_strategy` validators.
     No HLS project is generated — codegen is chain-only.
     """
     resolved = _resolve_model(model)
     graph = (
         Graph.from_network(resolved) if isinstance(resolved, Network) else resolved
-    )
-    if accelerated_only:
-        graph = graph.accelerated_subgraph()
+    ).accelerated_subgraph()
     if len(graph) == 0:
         raise OptimizationError("no accelerator-eligible layers in the model")
     target = get_device(device) if isinstance(device, str) else device
@@ -307,8 +304,7 @@ def compile_graph(
         )
     strategy = optimize_graph(
         graph, target, transfer_constraint_bytes,
-        explore_tile_sizes=explore_tile_sizes,
-        workers=workers, context=context, store=store,
+        explore_tile_sizes=explore_tile_sizes, context=context, store=store,
     )
     if verify:
         from repro.check.invariants import verify_graph_strategy
@@ -324,15 +320,16 @@ def compile_model(
     device: Union[str, FPGADevice] = "zc706",
     transfer_constraint_bytes: Optional[int] = None,
     output_dir: Optional[Path] = None,
-    accelerated_only: bool = True,
     explore_tile_sizes: bool = False,
     weights: Optional[dict] = None,
-    workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
     store=None,
 ) -> CompileResult:
     """Map a Caffe model (or Network) onto an FPGA.
+
+    Trailing FC/softmax layers are dropped before optimizing: they run
+    host-side, as in the paper.
 
     Args:
         model: Prototxt path, prototxt text, or an in-memory Network.
@@ -340,16 +337,11 @@ def compile_model(
         transfer_constraint_bytes: The paper's T; defaults to the
             unfused feature-map traffic (i.e. effectively unconstrained).
         output_dir: If given, the HLS project is written there.
-        accelerated_only: Drop trailing FC/softmax layers (run host-side,
-            as the paper does) before optimizing.
         explore_tile_sizes: Also search Winograd tile sizes m in
             {2, 4, 6} per layer (extension; the paper fixes m = 4).
         weights: Optional trained parameters; when given the project
             includes quantized weight headers (Winograd kernels
             pre-transformed).
-        workers: Precompute the independent ``fusion[i][j]`` searches
-            with a thread pool of this size (strategy-preserving;
-            CLI ``--workers``).
         context: Shared :class:`~repro.perf.cost.EvalContext` to reuse
             cost evaluations across compiles (e.g. device sweeps).
         verify: Run the :func:`repro.check.verify_strategy` invariant
@@ -386,16 +378,12 @@ def compile_model(
             resolved,
             device=device,
             transfer_constraint_bytes=transfer_constraint_bytes,
-            accelerated_only=accelerated_only,
             explore_tile_sizes=explore_tile_sizes,
-            workers=workers,
             context=context,
             verify=verify,
             store=store,
         )
-    network = resolved
-    if accelerated_only:
-        network = network.accelerated_prefix()
+    network = resolved.accelerated_prefix()
     if len(network) == 0:
         raise OptimizationError("no accelerator-eligible layers in the model")
     target = get_device(device) if isinstance(device, str) else device
@@ -404,8 +392,7 @@ def compile_model(
     context = _store_context(context, store)
     strategy = optimize(
         network, target, transfer_constraint_bytes,
-        explore_tile_sizes=explore_tile_sizes,
-        workers=workers, context=context,
+        explore_tile_sizes=explore_tile_sizes, context=context,
     )
     if verify:
         from repro.check.invariants import verify_strategy
@@ -424,10 +411,8 @@ def partition_model(
     devices: Union[str, Sequence, DeviceFleet] = "zc706,zc706",
     link: Optional[Link] = None,
     transfer_constraint_bytes: Optional[int] = None,
-    accelerated_only: bool = True,
     explore_tile_sizes: bool = False,
     node_budget: int = 250_000,
-    workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
     store=None,
@@ -451,8 +436,8 @@ def partition_model(
             board-to-board link).
         transfer_constraint_bytes: Optional per-stage DRAM feature-map
             budget (each board gets the paper's T separately).
-        accelerated_only / explore_tile_sizes / node_budget / workers /
-            context / verify / store: As in :func:`compile_model`
+        explore_tile_sizes / node_budget / context / verify / store:
+            As in :func:`compile_model`
             (``verify`` runs :func:`repro.check.verify_plan` on a
             chain plan and ``verify_graph_strategy`` on every stage of
             a graph plan).
@@ -470,12 +455,10 @@ def partition_model(
     """
     resolved = _resolve_model(model)
     is_graph = isinstance(resolved, Graph)
-    if accelerated_only:
-        resolved = (
-            resolved.accelerated_subgraph()
-            if is_graph
-            else resolved.accelerated_prefix()
-        )
+    resolved = (
+        resolved.accelerated_subgraph() if is_graph
+        else resolved.accelerated_prefix()
+    )
     if len(resolved) == 0:
         raise OptimizationError("no accelerator-eligible layers in the model")
     if isinstance(devices, DeviceFleet):
@@ -491,7 +474,6 @@ def partition_model(
         explore_tile_sizes=explore_tile_sizes,
         node_budget=node_budget,
         context=context,
-        workers=workers,
     )
     _flush_context(context)
     if verify:

@@ -26,8 +26,9 @@ class TestParseSize:
     def test_invalid(self):
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_size("lots")
+        for text in ("lots", "inf", "nan", "1e400", "-2MB", ""):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _parse_size(text)
 
 
 class TestInformational:
@@ -97,18 +98,6 @@ class TestCompile:
         assert "implement() evaluations" in out
         assert "B&B nodes visited" in out
         assert "B&B nodes pruned" in out
-
-    def test_compile_workers_matches_serial(self, capsys):
-        assert main(["compile", "tiny_cnn", "--device", "testchip"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(
-                ["compile", "tiny_cnn", "--device", "testchip", "--workers", "2"]
-            )
-            == 0
-        )
-        threaded = capsys.readouterr().out
-        assert threaded == serial
 
     def test_unknown_model_errors(self, capsys):
         assert main(["compile", "nonexistent_model"]) == 1
@@ -749,10 +738,14 @@ class TestSubcommandFailurePaths:
             ["winograd", "0", "3"],
             ["check", "/nonexistent/artifact.json"],
             ["sweep-grid", "--spec", "/nonexistent/spec.json", "--out", "/tmp/x"],
+            ["sweep", "tiny_cnn", "--device", "testchip",
+             "--constraints", "2MB,,4MB"],
+            ["sweep-grid", "--models", "tiny_cnn", "--devices", "testchip",
+             "--transfers", "2MB,bogus", "--out", "/tmp/x"],
         ],
         ids=[
             "compile", "sweep", "partition", "serve-sim", "winograd",
-            "check", "sweep-grid",
+            "check", "sweep-grid", "sweep-bad-size", "sweep-grid-bad-size",
         ],
     )
     def test_exits_nonzero_with_one_line_error(self, argv, capsys):

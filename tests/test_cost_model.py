@@ -156,13 +156,6 @@ class TestStrategyPreservation:
         # The second run answers every implement() query from cache.
         assert ctx.stats.evaluations == evaluations_after_cold
 
-    def test_workers_preserve_strategy(self, tiny, testchip):
-        budget = tiny.feature_map_bytes()
-        serial = optimize(tiny, testchip, budget)
-        threaded = optimize(tiny, testchip, budget, workers=2)
-        assert choice_triples(serial) == choice_triples(threaded)
-        assert serial.latency_cycles == threaded.latency_cycles
-
     def test_optimize_many_honors_knobs(self, tiny, testchip):
         budgets = [tiny.min_fused_transfer_bytes(), tiny.feature_map_bytes()]
         batch = optimize_many(
